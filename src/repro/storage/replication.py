@@ -92,8 +92,8 @@ class ReplicatedShard:
         Label for the stats scope (purely observational).
     """
 
-    #: Duck-typing flag: the process executor and config validators use
-    #: this to reject replicated segments where they cannot be served.
+    #: Duck-typing flag: lets callers such as the chaos audit tell a
+    #: replicated segment from a plain ``GraphStore``.
     is_replicated = True
 
     def __init__(self, copies: list[GraphStore], shard: int | str = "?"):

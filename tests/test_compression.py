@@ -229,15 +229,18 @@ class TestMmapTier:
             store.close()
 
 
-class TestExportPackedState:
-    def test_export_matches_reads(self, tmp_path):
+class TestMutationCount:
+    def test_counts_every_index_mutation(self, tmp_path):
+        """``mutation_count`` is the adaptive tuner's update-rate input:
+        one tick per put and per delete, none for reads."""
         data = _adjacency(30, seed=10)
         store = DiskKVStore(tmp_path / "kv.log", compress=True)
         for k, v in data.items():
             store.put(k, v)
-        state = store.export_packed_state()
-        assert state["generation"] == store.mutation_count
-        assert sorted(state["keys"].tolist()) == sorted(data)
+        assert store.mutation_count == len(data)
+        _packed_all(store, sorted(data))
+        assert store.mutation_count == len(data)
         store.put(99, _blob(range(3)))
-        assert store.mutation_count == state["generation"] + 1
+        store.delete(99)
+        assert store.mutation_count == len(data) + 2
         store.close()

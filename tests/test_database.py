@@ -22,6 +22,19 @@ class TestSetup:
         with pytest.raises(ValueError):
             VendGraphDB(method="bloom")
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"executor": "process"}, "removed"),
+        ({"executor": "fibers"}, "executor"),
+        ({"workers": 0}, "workers"),
+        ({"workers": -1}, "workers"),
+    ])
+    def test_invalid_executor_and_workers(self, kwargs, match):
+        # Rejected at every shard count, not only where the parallel
+        # engine would have checked them.
+        for shards in (1, 2):
+            with pytest.raises(ValueError, match=match):
+                VendGraphDB(shards=shards, **kwargs)
+
     def test_updates_require_load(self):
         database = VendGraphDB()
         with pytest.raises(RuntimeError):
