@@ -148,8 +148,7 @@ def test_compressed_mmap_throughput(tmp_path, bench_report):
     # PR 5 baseline: raw records, file I/O, thread engine, regressed
     # packed read tier — the BENCH_PR5 headline configuration.
     pr5_store = _install_pr5_read_path(
-        ShardedGraphStore(tmp_path / "pr5.db", num_shards=SHARDS,
-                          cache_bytes=0))
+        ShardedGraphStore(tmp_path / "pr5.db", num_shards=SHARDS))
     if not pr5_store.num_vertices:
         pr5_store.bulk_load(graph)
     with ParallelEdgeQueryEngine(pr5_store, nonedge_filter=solution,
@@ -170,8 +169,8 @@ def test_compressed_mmap_throughput(tmp_path, bench_report):
     variants = []
     for compress, use_mmap in STORAGE_VARIANTS:
         name = f"c{int(compress)}m{int(use_mmap)}.db"
-        store = GraphStore(tmp_path / name, cache_bytes=0,
-                          compress=compress, use_mmap=use_mmap)
+        store = GraphStore(tmp_path / name, compress=compress,
+                           use_mmap=use_mmap)
         store.bulk_load(graph)
         engine = EdgeQueryEngine(store, nonedge_filter=solution)
         assert (engine.has_edge_batch(us, vs) == want).all()
@@ -202,8 +201,7 @@ def test_compressed_mmap_throughput(tmp_path, bench_report):
     for compress, use_mmap in SHARDED_VARIANTS:
         name = f"sh_c{int(compress)}m{int(use_mmap)}.db"
         store = ShardedGraphStore(tmp_path / name, num_shards=SHARDS,
-                                  cache_bytes=0, compress=compress,
-                                  use_mmap=use_mmap)
+                                  compress=compress, use_mmap=use_mmap)
         store.bulk_load(graph)
         with ParallelEdgeQueryEngine(store, nonedge_filter=solution,
                                      workers=WORKERS) as engine:
@@ -225,7 +223,7 @@ def test_compressed_mmap_throughput(tmp_path, bench_report):
                      "graph": f"powerlaw(n={N_VERTICES}, "
                               f"avg_degree={AVG_DEGREE}, seed=1)",
                      "solution": f"{METHOD}(k={K})",
-                     "store": "disk, cache_bytes=0",
+                     "store": "disk, no caches",
                      "cpu_count": cpu_count},
         "pr5_baseline": pr5_config,
         "pr5_recorded_ops_per_sec": _pr5_recorded_ops(),

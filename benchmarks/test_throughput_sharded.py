@@ -56,9 +56,12 @@ def _install_pr1_read_path(store):
 
     PR 1's ``get_many`` walked the offset-sorted pending list issuing
     one ``pread`` per record — no coalesced spans, no packed buffer,
-    no checksum validation (checksums arrived in PR 2).  Stats booking
-    matches the modern path (one logical disk read per distinct stored
-    key) so engine counters stay comparable.
+    no checksum validation (checksums arrived in PR 2) — and returned
+    a dict of per-record bytes that the probe then joined.  The shim
+    reproduces both halves behind the ``get_many_packed`` interface
+    the probe calls today.  Stats booking matches the modern path (one
+    logical disk read per distinct stored key) so engine counters stay
+    comparable.
     """
     kv = store._kv
 
@@ -92,8 +95,16 @@ def _install_pr1_read_path(store):
                 receipt.count_disk_reads(disk_reads, bytes_read)
         return result
 
-    kv.get_many = pr1_get_many
-    kv.get_many_packed = None  # force the dict fallback in probe_edges
+    def pr1_get_many_packed(keys, receipt=None):
+        blobs = pr1_get_many(keys, receipt=receipt)
+        missing = [key for key, blob in blobs.items() if blob is None]
+        if missing:
+            raise KeyError(missing)
+        lengths = np.fromiter((len(blob) for blob in blobs.values()),
+                              dtype=np.int64, count=len(blobs))
+        return np.frombuffer(b"".join(blobs.values()), np.uint8), lengths
+
+    kv.get_many_packed = pr1_get_many_packed
     return store
 
 
@@ -121,7 +132,7 @@ def test_sharded_parallel_speedup(tmp_path, bench_report):
     solution.is_nonedge_batch([(int(us[0]), int(vs[0]))])  # warm snapshot
 
     # PR 1 baseline: serial engine over the regressed read path.
-    pr1_store = GraphStore(tmp_path / "pr1.db", cache_bytes=0)
+    pr1_store = GraphStore(tmp_path / "pr1.db")
     pr1_store.bulk_load(graph)
     _install_pr1_read_path(pr1_store)
     pr1 = EdgeQueryEngine(pr1_store, nonedge_filter=solution)
@@ -131,7 +142,7 @@ def test_sharded_parallel_speedup(tmp_path, bench_report):
     pr1_ops = num_pairs / pr1_timing["best_seconds"]
 
     # Current serial engine (coalesced + packed read path, 1 store).
-    serial_store = GraphStore(tmp_path / "serial.db", cache_bytes=0)
+    serial_store = GraphStore(tmp_path / "serial.db")
     serial_store.bulk_load(graph)
     serial = EdgeQueryEngine(serial_store, nonedge_filter=solution)
     assert (serial.has_edge_batch(us, vs) == want).all()
@@ -142,7 +153,7 @@ def test_sharded_parallel_speedup(tmp_path, bench_report):
     sweep = []
     for shards, workers in SWEEP:
         store = ShardedGraphStore(tmp_path / f"s{shards}.db",
-                                  num_shards=shards, cache_bytes=0)
+                                  num_shards=shards)
         if not store.num_vertices:
             store.bulk_load(graph)
         with ParallelEdgeQueryEngine(store, nonedge_filter=solution,
@@ -162,7 +173,7 @@ def test_sharded_parallel_speedup(tmp_path, bench_report):
                      "graph": f"powerlaw(n={N_VERTICES}, "
                               f"avg_degree={AVG_DEGREE}, seed=1)",
                      "solution": f"{METHOD}(k={K})",
-                     "store": "disk, cache_bytes=0", "rounds": ROUNDS},
+                     "store": "disk, no caches", "rounds": ROUNDS},
         "pr1_serial_baseline": {"ops_per_sec": round(pr1_ops),
                                 **pr1_timing},
         "serial_current": {"ops_per_sec": round(serial_ops),

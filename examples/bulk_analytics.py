@@ -58,8 +58,8 @@ def main() -> None:
     print(f"filter rate {stats.filter_rate:.1%}: {stats.filtered:,} pairs "
           "certified open by the NDF alone — each one an avoided storage "
           f"access; {stats.executed:,} undetermined pairs were resolved by "
-          f"one grouped multi-get ({stats.disk_served:,} physical reads, "
-          f"{stats.cache_served:,} block-cache hits).")
+          f"one grouped multi-get ({stats.disk_served:,} physical "
+          "reads).")
     closed = stats.positives / stats.total
     print(f"\nclosure estimate: {closed:.1%} of sampled distance-2 pairs "
           "are closed into triangles.")

@@ -41,13 +41,14 @@ class VendGraphDB:
     k, method:
         VEND configuration (``"hybrid"`` or ``"hyb+"``).
     cache_bytes:
-        Block-cache size for the store — the total budget, split across
-        the shard-local caches when sharded.
+        Must be 0.  The block cache it once sized was removed (the hot
+        cache holds decoded adjacency instead); the keyword stays so
+        existing ``cache_bytes=0`` callers keep working.
     hot_cache_bytes:
-        Decoded-blob hot-cache budget (total, split per shard like
-        ``cache_bytes``).  Stats-transparent — verdicts and counters
-        are bitwise identical hot-on/off.  Requires a disk-backed
-        path; ignored for in-memory stores.
+        Decoded-blob hot-cache budget (the total, split across the
+        shard-local caches when sharded).  Stats-transparent — verdicts
+        and counters are bitwise identical hot-on/off.  Requires a
+        disk-backed path; ignored for in-memory stores.
     shards, workers:
         ``shards > 1`` switches storage to a hash-partitioned
         :class:`~repro.storage.ShardedGraphStore` and the query path to
@@ -58,7 +59,7 @@ class VendGraphDB:
     compress, use_mmap:
         Storage-tier switches, forwarded to every segment: ``compress``
         stores adjacency blobs as StreamVByte v3 records, ``use_mmap``
-        serves the packed read tier from an mmap of the log.
+        serves batched reads from an mmap of the log.
     executor:
         Batch fan-out mode of the parallel engine.  Only ``"thread"``
         is accepted; any other value raises :class:`ValueError`.
@@ -95,10 +96,12 @@ class VendGraphDB:
                              "pool is the only batch executor")
         if executor != "thread":
             raise ValueError(f"executor must be 'thread', got {executor!r}")
+        if cache_bytes != 0:
+            raise ValueError("cache_bytes must be 0: the block cache was "
+                             "removed (use hot_cache_bytes)")
         self.vend: _HybridBase = _METHODS[method](k=k, id_bits=id_bits)
         if shards > 1 or replicas > 0:
             self.store = ShardedGraphStore(path, num_shards=shards,
-                                           cache_bytes=cache_bytes,
                                            compress=compress,
                                            use_mmap=use_mmap,
                                            replicas=replicas,
@@ -106,8 +109,8 @@ class VendGraphDB:
             self._engine = ParallelEdgeQueryEngine(self.store, self.vend,
                                                    workers=workers)
         else:
-            self.store = GraphStore(path, cache_bytes=cache_bytes,
-                                    compress=compress, use_mmap=use_mmap,
+            self.store = GraphStore(path, compress=compress,
+                                    use_mmap=use_mmap,
                                     hot_cache_bytes=hot_cache_bytes)
             self._engine = EdgeQueryEngine(self.store, self.vend)
         self.db_stats = DatabaseStats()
@@ -128,11 +131,11 @@ class VendGraphDB:
 
         Index reconstruction (Section V-D) reads real adjacency lists;
         routing those reads through a maintenance-scoped receipt keeps
-        them out of every engine's ``cache_served``/``disk_served``.
+        them out of every engine's ``disk_served``.
         """
         receipt = ReadReceipt()
         neighbors = self.store.get_neighbors(v, receipt=receipt)
-        self.db_stats.inc("maintenance_reads", receipt.served)
+        self.db_stats.inc("maintenance_reads", receipt.disk_reads)
         self.db_stats.inc("maintenance_disk_reads", receipt.disk_reads)
         return neighbors
 

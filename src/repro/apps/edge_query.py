@@ -17,9 +17,9 @@ Two execution paths share the same statistics:
 
 Attribution is receipt-scoped: every storage call made on behalf of a
 query threads its own :class:`~repro.obs.ReadReceipt`, so an engine's
-``cache_served``/``disk_served`` counters book exactly the I/O *its*
-queries caused — never another engine's traffic or an index-maintenance
-fetch that happened to touch the same shared store (the historical
+``disk_served`` counter books exactly the I/O *its* queries caused —
+never another engine's traffic or an index-maintenance fetch that
+happened to touch the same shared store (the historical
 diff-the-shared-globals pattern misattributed both).
 """
 
@@ -85,7 +85,6 @@ class EdgeQueryEngine:
                 self.stats.inc("executed")
                 receipt = ReadReceipt()
                 exists = self.store.has_edge(u, v, receipt=receipt)
-                self.stats.inc("cache_served", receipt.cache_hits)
                 self.stats.inc("disk_served", receipt.disk_reads)
                 if exists:
                     self.stats.inc("positives")
@@ -100,8 +99,8 @@ class EdgeQueryEngine:
         tuples; returns a bool array of edge-existence answers and
         accumulates the same :class:`QueryStats` the scalar path does.
         Because surviving left endpoints are deduplicated before the
-        multi-get, ``cache_served + disk_served`` may be smaller than
-        ``executed`` — that gap is exactly the I/O batching saved.
+        multi-get, ``disk_served`` may be smaller than ``executed`` —
+        that gap is exactly the I/O batching saved.
         """
         tracer = default_tracer()
         start = time.perf_counter()
@@ -129,15 +128,8 @@ class EdgeQueryEngine:
             if count:
                 self.stats.inc("executed", count)
                 receipt = ReadReceipt()
-                # The blob-native probe (identical verdicts and booking,
-                # packed multi-get + bulk blob decode) is the batched
-                # hot path; stores without it keep the dict multi-get.
-                probe = getattr(self.store, "probe_edges", None)
-                if probe is None:
-                    probe = self.store.has_edge_many
-                exists = probe(us[survivors], vs[survivors],
-                               receipt=receipt)
-                self.stats.inc("cache_served", receipt.cache_hits)
+                exists = self.store.probe_edges(us[survivors], vs[survivors],
+                                                receipt=receipt)
                 self.stats.inc("disk_served", receipt.disk_reads)
                 self.stats.inc("positives", int(exists.sum()))
                 answers[survivors] = exists
@@ -189,9 +181,8 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
 
     Attribution stays exact: per-shard :class:`QueryStats` (labeled
     ``shard="<i>"`` under this engine's scope) are booked from the same
-    task receipts as the aggregate, so the per-shard
-    ``cache_served + disk_served`` totals sum to the engine totals by
-    construction.
+    task receipts as the aggregate, so the per-shard ``disk_served``
+    totals sum to the engine totals by construction.
     """
 
     def __init__(self, store: ShardedGraphStore,
@@ -273,7 +264,6 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
             receipt = ReadReceipt()
             exists = self.store.has_edge(u, v, receipt=receipt)
             for view in (self.stats, stats):
-                view.inc("cache_served", receipt.cache_hits)
                 view.inc("disk_served", receipt.disk_reads)
                 if exists:
                     view.inc("positives")
@@ -339,7 +329,6 @@ class ParallelEdgeQueryEngine(EdgeQueryEngine):
                         for view in (self.stats, shard_view):
                             view.inc("filtered", filtered)
                             view.inc("executed", executed)
-                            view.inc("cache_served", receipt.cache_hits)
                             view.inc("disk_served", receipt.disk_reads)
                             view.inc("positives", positives)
                 return answers

@@ -22,7 +22,7 @@ Commands cover the basic operational loop of a VEND deployment:
   ``--prometheus``); ``--filter PREFIX`` restricts the export to
   metric families whose name starts with ``PREFIX``;
 - ``trace`` — the same workload with the span tracer enabled,
-  printing the ``query → ndf_filter → storage_get → cache`` trees;
+  printing the ``query → ndf_filter → storage_get`` trees;
 - ``bench`` — batched-query throughput, serial single-file engine vs
   the shard-parallel engine, with ``--check-speedup`` as a CI gate;
   ``--workload`` selects the probe mix (``random``/``edges`` pair
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default="hyb+")
         sub.add_argument("--pairs", type=int, default=2000)
         sub.add_argument("--updates", type=int, default=50)
-        sub.add_argument("--cache-bytes", type=int, default=1 << 16)
         sub.add_argument("--seed", type=int, default=0)
         add_shard_args(sub)
 
@@ -252,9 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--method", choices=["hybrid", "hyb+"],
                        default="hyb+")
     bench.add_argument("--pairs", type=int, default=100_000)
-    bench.add_argument("--cache-bytes", type=int, default=0,
-                       help="block-cache budget (default 0: every probe "
-                            "pays real storage reads)")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--workload",
                        choices=["random", "edges", "zipfian", "churn",
@@ -486,7 +482,9 @@ def _cmd_audit(args) -> int:
         for violation in report.violations:
             print(f"  {violation.format()}")
         failed += 0 if report.ok else 1
-    if args.shards > 1:
+    if args.shards > 1 or args.compress or args.mmap:
+        # The serial auditor opens no store, so the storage-tier
+        # switches are audited here, at any shard count.
         from .devtools import audit_parallel_engine
 
         print(f"parallel engine sweep: shards={args.shards} "
@@ -574,7 +572,6 @@ def _obs_workload(args) -> None:
         else:
             path = None
         db = VendGraphDB(path, k=args.k, method=args.method,
-                         cache_bytes=args.cache_bytes,
                          shards=args.shards, workers=args.workers,
                          compress=compress, use_mmap=use_mmap,
                          replicas=getattr(args, "replicas", 0),
@@ -678,7 +675,6 @@ def _cmd_bench(args) -> int:
         with tempfile.TemporaryDirectory() as tmp:
             db = VendGraphDB(Path(tmp) / "adjacency.log", k=args.k,
                              method=args.method,
-                             cache_bytes=args.cache_bytes,
                              shards=shards, workers=workers,
                              compress=args.compress, use_mmap=args.mmap,
                              replicas=(args.replicas if shards > 1 else 0),

@@ -68,8 +68,8 @@ def shard_slices(router, us: np.ndarray, vs: np.ndarray):
     Because the slices partition the *left* endpoints, deduplicating
     ``us`` per shard equals deduplicating globally — the same vertex
     can never appear in two slices — which is what keeps the parallel
-    engine's ``cache_served``/``disk_served`` totals bitwise equal to
-    the serial pipeline's.
+    engine's ``disk_served`` totals bitwise equal to the serial
+    pipeline's.
     """
     for shard, idx in enumerate(router.partition(us)):
         if len(idx):

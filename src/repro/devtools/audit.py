@@ -279,8 +279,8 @@ class ParallelAuditReport:
         )
 
 
-_PARITY_FIELDS = ("total", "filtered", "executed", "cache_served",
-                  "disk_served", "positives")
+_PARITY_FIELDS = ("total", "filtered", "executed", "disk_served",
+                  "positives")
 
 
 def _load_mixed_log(open_store, graph: Graph, compress: bool,
@@ -325,7 +325,7 @@ def audit_parallel_engine(graph: Graph, solution: VendSolution,
       including after a seeded insert+delete maintenance phase;
     - **stats parity** — the parallel engine's aggregate counters match
       the serial engine's exactly (per-shard dedup == global dedup);
-    - **attribution** — per-shard ``cache_served + disk_served`` series
+    - **attribution** — per-shard ``disk_served`` series
       sum exactly to the engine totals despite thread fan-out.
 
     ``compress``/``use_mmap`` sweep the compressed storage tier:

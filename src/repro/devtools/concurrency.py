@@ -2,7 +2,7 @@
 
 PRs 5–7 made the repo genuinely concurrent: a writer-preferring
 re-entrant ``_RWLock`` held across whole batches, an ``RLock``-guarded
-LRU, synchronous replica fan-out, and mmap views with strict lifetime
+cache, synchronous replica fan-out, and mmap views with strict lifetime
 rules.  The classic ruleset (R001–R006) cannot see any of that.  This
 module is a second AST pass that *learns the repo's locking model* and
 enforces it:
@@ -44,7 +44,7 @@ observed order are directly comparable.
 
 **Re-entrancy.**  Acquiring a lock *name* already held is a no-op for
 the walk: the repo's locks are re-entrant (``_RWLock`` on both sides,
-the LRU's ``RLock``), and an offline ``reshard()`` writing into a
+the hot cache's ``RLock``), and an offline ``reshard()`` writing into a
 *second* ``ShardedGraphStore`` under the source's read lock must not
 read as a self-deadlock.  The witness applies the matching rule at
 object granularity.

@@ -18,13 +18,13 @@ the default — :func:`wrap_lock` returns the raw lock unchanged and
 
 Semantics
 ---------
-Edges are recorded at *class granularity* (``"LRUCache._lock"``), the
+Edges are recorded at *class granularity* (``"HotSetCache._lock"``), the
 same node names the static pass derives, so the two graphs compose.
 Two rules mirror the static walk exactly:
 
 - **Re-entrancy** is object-scoped: re-acquiring a lock object already
   held by this thread records nothing (``_RWLock`` on both sides, the
-  LRU's ``RLock``, and the engine re-entering the store's guard).
+  hot cache's ``RLock``, and the engine re-entering the store's guard).
 - **Same name, different instance** records nothing either: a
   class-granularity order cannot rank two instances of one class
   (offline ``reshard()`` legitimately nests the target store's lock

@@ -7,7 +7,7 @@ trustworthy and exportable:
   bounded-bucket histograms with label support, JSON and Prometheus
   export, and the ``snapshot()``/``diff()`` API the bench harness uses;
 - :mod:`~repro.obs.tracer` — a lightweight nestable span tracer for
-  the ``query → ndf_filter → storage_get → cache`` path;
+  the ``query → ndf_filter → storage_get`` path;
 - :mod:`~repro.obs.receipt` + :mod:`~repro.obs.views` — per-operation
   I/O provenance (the cross-engine attribution fix) and the public
   stats facades every layer exposes.

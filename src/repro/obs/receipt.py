@@ -1,6 +1,6 @@
 """Per-operation I/O provenance — the fix for cross-engine attribution.
 
-The old engine booked ``cache_served``/``disk_served`` by diffing the
+The old engine booked ``disk_served`` by diffing the
 *shared* ``store.stats`` counters around each lookup, so any other
 reader of the same store (a second engine, the soundness auditor, an
 index-maintenance fetch) had its I/O silently attributed to whichever
@@ -20,23 +20,10 @@ __all__ = ["ReadReceipt"]
 
 @dataclass
 class ReadReceipt:
-    """Cache-vs-disk provenance of one logical storage operation."""
+    """Read provenance of one logical storage operation."""
 
-    cache_hits: int = 0
     disk_reads: int = 0
     bytes_read: int = 0
-
-    @property
-    def served(self) -> int:
-        """Total lookups this operation paid for, wherever served."""
-        return self.cache_hits + self.disk_reads
-
-    def count_cache_hit(self) -> None:
-        self.cache_hits += 1
-
-    def count_cache_hits(self, n: int) -> None:
-        """Bulk variant: ``n`` cache-served lookups booked at once."""
-        self.cache_hits += n
 
     def count_disk_read(self, nbytes: int = 0) -> None:
         self.disk_reads += 1
@@ -49,7 +36,6 @@ class ReadReceipt:
 
     def merge(self, other: "ReadReceipt") -> None:
         """Fold a sub-operation's provenance into this receipt."""
-        self.cache_hits += other.cache_hits
         self.disk_reads += other.disk_reads
         self.bytes_read += other.bytes_read
 

@@ -1,6 +1,6 @@
 """Lightweight nestable span tracing for the query path.
 
-One edge query walks ``query → ndf_filter → storage_get → cache``;
+One edge query walks ``query → ndf_filter → storage_get``;
 this tracer records that tree with wall-clock timings so a slow query
 can be attributed to the layer that paid for it.  Tracing is **off by
 default** — a disabled tracer hands out a shared no-op context

@@ -143,16 +143,14 @@ class StorageStats(StatsView):
     _PREFIX = "repro_storage"
     _SCOPE = "store"
     _COUNTERS = ("disk_reads", "disk_writes", "bytes_read", "bytes_written",
-                 "cache_hits", "cache_misses", "checksum_failures",
-                 "compressed_puts", "blob_bytes_raw", "blob_bytes_stored")
+                 "checksum_failures", "compressed_puts", "blob_bytes_raw",
+                 "blob_bytes_stored")
     _GAUGES = ("compression_ratio",)
     _HELP = {
         "disk_reads": "Physical record reads that reached the log file",
         "disk_writes": "Records appended to the log file",
         "bytes_read": "Payload bytes read from the log file",
         "bytes_written": "Record bytes appended to the log file",
-        "cache_hits": "Reads absorbed by the block cache",
-        "cache_misses": "Reads the block cache could not serve",
         "checksum_failures": "Records failing CRC or size validation",
         "compressed_puts": "Puts stored under a StreamVByte blob record",
         "blob_bytes_raw": "Uncompressed bytes of compressed-put payloads",
@@ -174,13 +172,12 @@ class QueryStats(StatsView):
     _PREFIX = "repro_query"
     _SCOPE = "engine"
     _COUNTERS = ("total", "filtered", "executed", "positives",
-                 "cache_served", "disk_served", "elapsed_seconds")
+                 "disk_served", "elapsed_seconds")
     _HELP = {
         "total": "Edge queries answered",
         "filtered": 'Queries answered "no edge" by the NDF alone',
         "executed": "Queries that required a storage lookup",
         "positives": "Queried edges that actually existed",
-        "cache_served": "This engine's lookups absorbed by the block cache",
         "disk_served": "This engine's lookups that paid a physical read",
         "elapsed_seconds": "Wall-clock seconds spent answering queries",
     }
@@ -202,7 +199,7 @@ class QueryStats(StatsView):
 
 
 class CacheStats(StatsView):
-    """LRU block-cache churn counters plus occupancy gauges."""
+    """Hot-cache churn counters plus occupancy gauges."""
 
     _PREFIX = "repro_cache"
     _SCOPE = "cache"
@@ -288,7 +285,7 @@ class DatabaseStats(StatsView):
     ``maintenance_reads`` is the counter that keeps index-reconstruction
     fetches out of the query books: every adjacency fetch the VEND
     index performs (insert/delete reconstruction, full rebuilds) lands
-    here instead of in any engine's ``cache_served``/``disk_served``.
+    here instead of in any engine's ``disk_served``.
     """
 
     _PREFIX = "repro_db"
@@ -297,7 +294,7 @@ class DatabaseStats(StatsView):
                  "index_rebuilds")
     _HELP = {
         "maintenance_reads": "Adjacency fetches performed for index "
-                             "maintenance (cache- or disk-served)",
+                             "maintenance",
         "maintenance_disk_reads": "Maintenance fetches that paid a "
                                   "physical read",
         "index_rebuilds": "Full index rebuilds (ID capacity growth)",

@@ -1,6 +1,5 @@
 """Disk storage substrate: log-structured KV store + adjacency store."""
 
-from .cache import LRUCache
 from .faults import (
     FaultConfig,
     FaultInjectingKVStore,
@@ -21,7 +20,6 @@ from .sharding import ReshardStats, ShardedGraphStore, ShardRouter
 from .tuning import AdaptiveTuner, TunerDecision
 
 __all__ = [
-    "LRUCache",
     "HotSetCache",
     "CountMinSketch",
     "AdaptiveTuner",

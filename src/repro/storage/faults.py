@@ -225,13 +225,13 @@ class FaultInjectingKVStore:
 
         return self._with_retries(attempt)
 
-    def get_many(self, keys, receipt: ReadReceipt | None = None):
+    def get_many_packed(self, keys, receipt: ReadReceipt | None = None):
+        """The inner batched read, one fault draw per call."""
         self._check_alive()
-        keys = list(keys)
 
         def attempt():
             self._maybe_fail_read()
-            return self._inner.get_many(keys, receipt=receipt)
+            return self._inner.get_many_packed(keys, receipt=receipt)
 
         return self._with_retries(attempt)
 

@@ -40,7 +40,7 @@ def membership_sweep(data: np.ndarray, counts: np.ndarray,
     lists with ``counts[i]`` values each; probe ``j`` asks whether
     ``vs[j]`` is in list ``group[j]``.  Every list is shifted into a
     disjoint value range so a single global ``searchsorted`` answers
-    all probes at once.  Shared by the batched probe paths.
+    all probes at once.
     """
     if data.size == 0:
         return np.zeros(len(vs), dtype=bool)
@@ -75,27 +75,26 @@ class GraphStore:
     ----------
     path:
         Backing file for the KV log, or None for an in-memory store
-        (tests).  ``cache_bytes`` configures the block cache.
+        (tests).
     kv:
         A pre-built KV store (e.g. a
         :class:`~repro.storage.faults.FaultInjectingKVStore` wrapping a
-        disk store).  Overrides ``path``/``cache_bytes`` when given.
+        disk store).  Overrides ``path`` when given.
     compress / use_mmap / hot_cache_bytes:
         Forwarded to :class:`~repro.storage.kvstore.DiskKVStore`
         (StreamVByte blob records / mmap read path / decoded-blob hot
         cache budget).  Ignored for in-memory and pre-built stores.
     """
 
-    def __init__(self, path: str | Path | None = None, cache_bytes: int = 0,
-                 kv=None, compress: bool = False, use_mmap: bool = False,
+    def __init__(self, path: str | Path | None = None, kv=None,
+                 compress: bool = False, use_mmap: bool = False,
                  hot_cache_bytes: int = 0):
         if kv is not None:
             self._kv = kv
         elif path is None:
-            self._kv = InMemoryKVStore(cache_bytes=cache_bytes)
+            self._kv = InMemoryKVStore()
         else:
-            self._kv = DiskKVStore(path, cache_bytes=cache_bytes,
-                                   compress=compress, use_mmap=use_mmap,
+            self._kv = DiskKVStore(path, compress=compress, use_mmap=use_mmap,
                                    hot_cache_bytes=hot_cache_bytes)
 
     @property
@@ -156,22 +155,33 @@ class GraphStore:
             raise KeyError(f"vertex {v} is not stored")
         return np.frombuffer(blob, dtype=np.uint32)
 
+    def _get_packed(self, keys, receipt: ReadReceipt | None,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The KV store's batched read, with :meth:`get_neighbors`'s
+        ``KeyError`` wording; lengths come back in ``uint32`` values."""
+        with default_tracer().span("storage_multi_get"):
+            try:
+                data, byte_lengths = self._kv.get_many_packed(
+                    keys, receipt=receipt)
+            except KeyError as exc:
+                raise KeyError(
+                    f"vertices {sorted(exc.args[0])} are not stored"
+                ) from None
+        return data, byte_lengths // 4
+
     def get_neighbors_many(self, vertices,
                            receipt: ReadReceipt | None = None,
                            ) -> dict[int, np.ndarray]:
-        """Multi-get: one deduplicated, offset-ordered storage pass.
+        """Multi-get: one deduplicated ``get_many_packed`` pass.
 
-        Returns ``{vertex: sorted uint32 adjacency array}``; raises
-        ``KeyError`` naming the missing vertices, mirroring
-        :meth:`get_neighbors`.
+        Returns ``{vertex: sorted uint32 adjacency array}`` in
+        first-seen order; raises ``KeyError`` naming every missing
+        vertex, mirroring :meth:`get_neighbors`.
         """
-        with default_tracer().span("storage_multi_get"):
-            blobs = self._kv.get_many(vertices, receipt=receipt)
-        missing = [v for v, blob in blobs.items() if blob is None]
-        if missing:
-            raise KeyError(f"vertices {sorted(missing)} are not stored")
-        return {v: np.frombuffer(blob, dtype=np.uint32)
-                for v, blob in blobs.items()}
+        keys = list(dict.fromkeys(int(v) for v in vertices))
+        data, lengths = self._get_packed(keys, receipt)
+        arrays = np.split(data.view(np.uint32), np.cumsum(lengths)[:-1])
+        return dict(zip(keys, arrays))
 
     def has_vertex(self, v: int) -> bool:
         return v in self._kv
@@ -185,57 +195,18 @@ class GraphStore:
             raise KeyError(f"vertex {u} is not stored")
         return _probe(blob, v)
 
-    def has_edge_many(self, us, vs,
-                      receipt: ReadReceipt | None = None) -> np.ndarray:
-        """Vectorized edge queries: grouped multi-get + one searchsorted.
-
-        Probe lists are grouped by left endpoint, each distinct
-        adjacency list is fetched once via :meth:`get_neighbors_many`,
-        and membership is answered with a single ``searchsorted`` over
-        the group-offset-shifted concatenation of those lists.
-        """
-        us = np.asarray(us, dtype=np.int64)
-        vs = np.asarray(vs, dtype=np.int64)
-        if us.shape != vs.shape:
-            raise ValueError("endpoint arrays must be aligned")
-        if len(us) == 0:
-            return np.zeros(0, dtype=bool)
-        unique_us, group = np.unique(us, return_inverse=True)
-        adjacency = self.get_neighbors_many(unique_us.tolist(),
-                                            receipt=receipt)
-        arrays = [adjacency[int(u)] for u in unique_us]
-        lengths = np.asarray([len(a) for a in arrays], dtype=np.int64)
-        if lengths.sum() == 0:
-            return np.zeros(len(us), dtype=bool)
-        # Shift every group into a disjoint value range so one global
-        # searchsorted answers all per-group membership probes at once.
-        base = np.arange(len(arrays), dtype=np.int64) * _ID_LIMIT
-        combined = np.concatenate(
-            [a.astype(np.int64) for a in arrays]
-        ) + np.repeat(base, lengths)
-        valid = (vs >= 0) & (vs < _ID_LIMIT)
-        probes = vs + base[group]
-        pos = np.searchsorted(combined, probes)
-        pos = np.minimum(pos, len(combined) - 1)
-        return (combined[pos] == probes) & valid
-
     def probe_edges(self, us, vs,
                     receipt: ReadReceipt | None = None) -> np.ndarray:
-        """Blob-native :meth:`has_edge_many`: identical verdicts, fewer
-        intermediates.
+        """Vectorized edge queries: one packed multi-get + one sweep.
 
-        The multi-get goes through the KV store's ``get_many_packed``
-        when it offers one: the distinct adjacency blobs come back as
-        one contiguous byte array plus a length vector, so everything
-        between the (coalesced, ``pread``-based) file reads and the
-        final searchsorted is a handful of whole-batch numpy kernels —
-        no per-record bytes objects, no dict of blobs, no
-        concatenation of thousands of tiny arrays.  This is the
-        per-shard hot path of the parallel query engine; pool threads
-        spend their time in GIL-releasing C loops rather than Python
-        list plumbing.  Stores without the packed read (e.g. a
-        fault-injecting wrapper) fall back to :meth:`get_neighbors_many`
-        semantics with identical verdicts and stats.
+        Probes are grouped by left endpoint and each distinct adjacency
+        blob is fetched once through the KV store's
+        ``get_many_packed``: the blobs come back as one contiguous byte
+        array plus a length vector, so everything between the file
+        reads and the final searchsorted (:func:`membership_sweep`) is
+        a handful of whole-batch numpy kernels.  This is the per-shard
+        hot path of the parallel query engine; pool threads spend their
+        time in GIL-releasing C loops rather than Python list plumbing.
         """
         us = np.asarray(us, dtype=np.int64)
         vs = np.asarray(vs, dtype=np.int64)
@@ -273,31 +244,7 @@ class GraphStore:
                     receipt: ReadReceipt | None) -> np.ndarray:
         """The fetch-and-sweep half of :meth:`probe_edges`."""
         unique_us, group = np.unique(us, return_inverse=True)
-        packed = getattr(self._kv, "get_many_packed", None)
-        with default_tracer().span("storage_multi_get"):
-            if packed is not None:
-                try:
-                    data, byte_lengths = packed(unique_us,
-                                                receipt=receipt)
-                except KeyError as exc:
-                    raise KeyError(
-                        f"vertices {sorted(exc.args[0])} are not stored"
-                    ) from None
-                lengths = byte_lengths // 4
-            else:
-                blobs = self._kv.get_many(unique_us.tolist(),
-                                          receipt=receipt)
-                missing = [v for v, blob in blobs.items() if blob is None]
-                if missing:
-                    raise KeyError(
-                        f"vertices {sorted(missing)} are not stored")
-                # dict preserves insertion order == unique_us order, so
-                # the joined buffer lines up with the group indices.
-                data = np.frombuffer(b"".join(blobs.values()),
-                                     dtype=np.uint8)
-                lengths = np.fromiter(
-                    (len(blob) for blob in blobs.values()),
-                    dtype=np.int64, count=len(blobs)) // 4
+        data, lengths = self._get_packed(unique_us, receipt)
         return membership_sweep(data, lengths, group, vs)
 
     # -- updates -------------------------------------------------------------

@@ -7,16 +7,16 @@ vertices in every batch.  :class:`HotSetCache` keeps those vertices'
 **decoded** adjacency arrays in memory so a hot probe skips both the
 read and the decode.
 
-It differs from the :class:`~repro.storage.cache.LRUCache` block cache
-in three load-bearing ways:
+It differs from a classic LRU block cache (the role it plays in the
+paper's RocksDB deployment) in three load-bearing ways:
 
 - **Values are decoded ndarrays**, billed by exact ``ndarray.nbytes``
-  (the block cache stores whatever bytes ``put`` saw, pre-decode).
+  (a block cache stores the on-disk bytes, pre-decode).
 - **The hit path is vectorized.**  A probe against the cache is one
   ``searchsorted`` into a lazily rebuilt *snapshot* — sorted key array
   plus one contiguous byte buffer — and hits are assembled with the
   same :func:`~repro.storage.kvstore.assemble_packed` scatter the
-  packed read tiers use.  No per-record Python on the hit path, which
+  batched read uses.  No per-record Python on the hit path, which
   is the whole point at 10⁵ probes per batch.
 - **Admission is frequency-gated, not recency-driven.**  An embedded
   :class:`CountMinSketch` samples the *raw* (pre-dedup) probe stream;
@@ -185,9 +185,9 @@ class HotSetCache:
         self._ring_pos = 0  # guarded-by: self._lock
         self._observed_total = 0  # guarded-by: self._lock
         self._observe_calls = 0  # guarded-by: self._lock
-        # Hot caches share the block-cache metric family but take a
-        # "hotN" scope label, so `repro stats --filter` and dashboards
-        # can split decode-cache traffic from block-cache traffic.
+        # Each hot cache takes a "hotN" scope label in the
+        # ``repro_cache`` family, so `repro stats --filter` and
+        # dashboards can split traffic per shard-local cache.
         if scope is None:
             scope = default_registry().scope("hot")
         self._stats = CacheStats(scope=scope)

@@ -1,11 +1,15 @@
 """File-backed key-value store (the RocksDB stand-in).
 
 Design: an append-only data log plus an in-memory key → (offset, size,
-crc) index, the classic log-structured layout.  Every ``get`` that
-misses the block cache performs a real ``seek`` + ``read`` against the
-file and is counted in :class:`StorageStats` — those counters are what
-the paper's Fig. 9 experiment is about (VEND exists to avoid exactly
-these reads).
+crc) index, the classic log-structured layout.  Every read is counted
+in :class:`StorageStats` — those counters are what the paper's Fig. 9
+experiment is about (VEND exists to avoid exactly these reads).
+
+Two read calls (DESIGN.md §7).  ``get`` is the scalar path: a
+dict-indexed one-record ``pread`` + validate + decode.
+``get_many_packed`` is the one batched path: whole-batch numpy against
+a sorted mirror of the index, served from the hot cache, an mmap of
+the log, or coalesced ``preadv`` spans.
 
 Crash safety (DESIGN.md §8).  New logs use the **v2 record format**:
 an 8-byte file magic followed by self-checking frames::
@@ -39,7 +43,7 @@ stay raw ``0x01`` puts.  All read paths decode transparently; the
 ``compression_ratio`` gauge tracks live raw bytes over live stored
 bytes.
 
-mmap (``use_mmap=True``).  The packed read tier serves gathers from an
+mmap (``use_mmap=True``).  The batched read serves gathers from an
 ``np.frombuffer`` view of an ``mmap`` of the log — straight off the
 page cache, no read syscalls, no intermediate buffer.  The map is
 remapped lazily when the log grows and dropped on compaction (the old
@@ -49,15 +53,14 @@ log.  Whenever the map is unavailable (fault-injection wrapper,
 mid-compaction, platforms without mmap) reads fall back to
 positional-read span gathers.
 
-``InMemoryKVStore`` implements the same interface (including the
-block cache and its statistics) for fast unit tests.
+``InMemoryKVStore`` implements the same interface and statistics for
+fast unit tests.
 """
 
 from __future__ import annotations
 
 import logging
 import mmap
-import operator
 import os
 import struct
 import zlib
@@ -65,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..obs import ReadReceipt, StorageStats, default_tracer
+from ..obs import ReadReceipt, StorageStats
 from ..simd.streamvbyte import (
     blob_count,
     blob_layout,
@@ -73,7 +76,6 @@ from ..simd.streamvbyte import (
     decode_blobs_packed,
     encode_blob,
 )
-from .cache import LRUCache
 from .hotcache import HotSetCache
 
 __all__ = [
@@ -112,7 +114,7 @@ _BLOB_RECORD_TYPES = frozenset((_REC_PUT_SVB1, _REC_PUT_SVBG, _REC_PUT_SVBM))
 #: rejected in *both* formats to keep logs mutually unambiguous.
 MAX_VALUE_BYTES = _V1_TOMBSTONE - 1
 
-#: Multi-get read coalescing: two offset-adjacent records whose gap is
+#: Batched-read coalescing: two offset-adjacent records whose gap is
 #: at most this many bytes are fetched with one ``pread`` spanning both.
 #: A page-sized gap deliberately over-reads records that sit between two
 #: requested ones — sequential bytes from the page cache are far cheaper
@@ -172,7 +174,7 @@ def assemble_packed(src: np.ndarray, offs: np.ndarray, szs: np.ndarray,
     ``out[slots[i]:slots[i] + rawszs[i]]``.  Raw records are one
     whole-batch gather; compressed records are one
     :func:`~repro.simd.streamvbyte.decode_blobs_packed` pass.  Shared
-    by every packed read tier.
+    by the batched read and the hot cache's hit path.
     """
     raw = rtypes == _REC_PUT
     if raw.any():
@@ -230,9 +232,6 @@ class DiskKVStore:
         Backing file.  Created if absent; an existing log is replayed to
         rebuild the index.  Torn or corrupt tails are truncated back to
         the last intact record (crash recovery).
-    cache_bytes:
-        Block-cache capacity; 0 disables caching entirely so every read
-        hits the file (useful when benchmarks must observe raw I/O).
     verify_reads:
         When True (default), every physical read of a v2 record is
         re-checksummed and a mismatch raises :class:`CorruptRecordError`
@@ -244,7 +243,7 @@ class DiskKVStore:
         ``compress=False`` still reads any v3 records already in its
         log.
     use_mmap:
-        When True, the packed read tier gathers from an mmap view of
+        When True, the batched read gathers from an mmap view of
         the log (falling back to positional reads when mapping fails).
     hot_cache_bytes:
         Budget for the decoded-blob hot cache
@@ -259,7 +258,7 @@ class DiskKVStore:
         of their key and wholesale on ``compact``.
     """
 
-    def __init__(self, path: str | Path, cache_bytes: int = 0,
+    def __init__(self, path: str | Path,
                  verify_reads: bool = True, compress: bool = False,
                  use_mmap: bool = False, hot_cache_bytes: int = 0):
         self.path = Path(path)
@@ -282,13 +281,12 @@ class DiskKVStore:
         # v1 / already verified, record type, decoded size).  Stored
         # and decoded sizes coincide for raw records.
         self._index: dict[int, tuple[int, int, int | None, int, int]] = {}
-        # Sorted-array mirror of ``_index`` for vectorized multi-get:
+        # Sorted-array mirror of ``_index`` for the batched read:
         # (keys, offsets, sizes, crc-armed, record types, raw sizes) as
         # numpy arrays, rebuilt lazily after any index mutation
         # (``None`` = stale).
         self._vindex: tuple[np.ndarray, np.ndarray, np.ndarray,
                             np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._cache = LRUCache(cache_bytes) if cache_bytes > 0 else None
         self._hot = (HotSetCache(hot_cache_bytes)
                      if hot_cache_bytes > 0 else None)
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -416,8 +414,6 @@ class DiskKVStore:
             self.stats.inc("blob_bytes_raw", len(value))
             self.stats.inc("blob_bytes_stored", len(payload))
         self._update_compression_gauge()
-        if self._cache is not None:
-            self._cache.put(key, value)
         if self._hot is not None:
             # Exact invalidation: the cached decode no longer matches
             # the live record.  Re-admission happens on the next read.
@@ -488,290 +484,111 @@ class DiskKVStore:
 
     def get(self, key: int,
             receipt: ReadReceipt | None = None) -> bytes | None:
-        """Read the value for ``key`` or None; counts a disk read on miss.
+        """Read the value for ``key`` or None; counts one disk read.
 
-        ``receipt`` receives the cache-vs-disk provenance of exactly
-        this lookup, so callers can attribute I/O without diffing the
-        shared counters.
+        The scalar path: a dict lookup and one ``pread`` of one record,
+        validated and decoded.  It deliberately bypasses the sorted
+        ``_vindex`` mirror that :meth:`get_many_packed` reads — every
+        ``put``/``delete`` resets that mirror, so routing the
+        read-modify-write of each edge update through it would rebuild
+        an O(n) array per write.  ``receipt`` receives the provenance
+        of exactly this lookup, so callers can attribute I/O without
+        diffing the shared counters.
         """
-        if self._cache is not None:
-            with default_tracer().span("cache"):
-                cached = self._cache.get(key)
-            if cached is not None:
-                self.stats.inc("cache_hits")
-                if receipt is not None:
-                    receipt.count_cache_hit()
-                return cached
-            self.stats.inc("cache_misses")
         if self._hot is not None:
             hot = self._hot.get(key)
             if hot is not None:
                 value, stored = hot
                 # Stats-transparent: book the logical read the stored
-                # record would have cost (mmap-tier precedent), and
-                # fill the block cache exactly as the cold path would.
+                # record would have cost (mmap-tier precedent).
                 self.stats.inc("disk_reads")
                 self.stats.inc("bytes_read", stored)
                 if receipt is not None:
                     receipt.count_disk_read(stored)
-                if self._cache is not None:
-                    self._cache.put(key, value)
                 return value
         loc = self._index.get(key)
         if loc is None:
             return None
-        value = self._read_record(key, *loc, receipt=receipt)
-        if self._cache is not None:
-            self._cache.put(key, value)
-        return value
-
-    def get_many(self, keys,
-                 receipt: ReadReceipt | None = None) -> dict[int, bytes | None]:
-        """Batched read: one cache pass, then file reads in offset order.
-
-        Keys are deduplicated (a repeated key costs one lookup), the
-        cache is consulted exactly once per distinct key, and the
-        outstanding misses are read with ``os.pread`` against the one
-        read descriptor the store holds open, sorted by file offset so
-        the access pattern is one forward sweep instead of random
-        seeks.  Offset-adjacent records (the common case after a
-        ``bulk_load`` or a ``compact``, which write the log
-        sequentially) are **coalesced**: one ``pread`` covers a whole
-        run of records separated only by frame headers, and each
-        payload is sliced out and validated individually — the RocksDB
-        MultiGet readahead idea.  ``StorageStats`` counts exactly the
-        logical activity — one cache hit/miss per distinct key, one
-        disk read per uncached stored key — booked in bulk (one
-        ``inc`` per counter per call, not per key), which keeps the
-        counters off the batched hot path and identical whether a
-        record arrived via its own syscall or a coalesced span.
-        """
-        result: dict[int, bytes | None] = {}
-        pending: list[tuple[int, int, int | None, int, int, int]] = []
-        cache_hits = cache_misses = 0
-        for key in keys:
-            key = int(key)
-            if key in result:
-                continue
-            if self._cache is not None:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    cache_hits += 1
-                    result[key] = cached
-                    continue
-                cache_misses += 1
-            loc = self._index.get(key)
-            if loc is None:
-                result[key] = None
-                continue
-            result[key] = None  # placeholder keeps dedup exact
-            pending.append((*loc, key))
-        if cache_hits:
-            self.stats.inc("cache_hits", cache_hits)
-        if cache_misses:
-            self.stats.inc("cache_misses", cache_misses)
-        if receipt is not None:
-            receipt.count_cache_hits(cache_hits)
-        pending.sort(key=operator.itemgetter(0))
-        if self._pending_flush and pending:
-            self._file.flush()
-            self._pending_flush = False
-        disk_reads = bytes_read = 0
-        compressed: list[tuple[int, bytes, int, int]] = []
-        try:
-            for span in self._coalesce(pending):
-                start = span[0][0]
-                length = span[-1][0] + span[-1][1] - start
-                buffer = os.pread(self._read_fd, length, start)
-                for offset, size, crc, rtype, raw_size, key in span:
-                    value = buffer[offset - start:offset - start + size]
-                    disk_reads += 1
-                    bytes_read += len(value)
-                    self._validate_record(key, offset, size, crc, rtype,
-                                          raw_size, value)
-                    if rtype != _REC_PUT:
-                        # Defer to one whole-batch decode pass below —
-                        # per-record decode_blob calls dominate a large
-                        # compressed multi-get otherwise.
-                        compressed.append((key, value, rtype, raw_size))
-                        continue
-                    if self._cache is not None:
-                        self._cache.put(key, value)
-                    result[key] = value
-        finally:
-            # Book the physical reads even when a corrupt record aborts
-            # the sweep part-way: the I/O happened either way.
-            if disk_reads:
-                self.stats.inc("disk_reads", disk_reads)
-                self.stats.inc("bytes_read", bytes_read)
-                if receipt is not None:
-                    receipt.count_disk_reads(disk_reads, bytes_read)
-        if compressed:
-            sizes = np.asarray([len(v) for _, v, _, _ in compressed],
-                               dtype=np.int64)
-            offsets = np.zeros(len(compressed), dtype=np.int64)
-            np.cumsum(sizes[:-1], out=offsets[1:])
-            src = np.frombuffer(
-                b"".join(v for _, v, _, _ in compressed), dtype=np.uint8)
-            counts = np.asarray([raw // 4 for _, _, _, raw in compressed],
-                                dtype=np.int64)
-            layouts = np.asarray(
-                [rtype - _BLOB_TYPE_BASE for _, _, rtype, _ in compressed],
-                dtype=np.int64)
-            decoded = decode_blobs_packed(src, offsets, sizes, counts,
-                                          layouts).astype("<u4", copy=False)
-            value_start = 0
-            for (key, _v, _rt, raw_size), count in zip(
-                    compressed, counts.tolist()):
-                value = decoded[value_start:value_start + count].tobytes()
-                value_start += count
-                if self._cache is not None:
-                    self._cache.put(key, value)
-                result[key] = value
-        return result
+        return self._read_record(key, *loc, receipt=receipt)
 
     def get_many_packed(self, keys,
                         receipt: ReadReceipt | None = None,
                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated payloads for ``keys``, assembled with numpy.
+        """Concatenated decoded payloads for ``keys``: the batched read.
 
         Returns ``(data, lengths)``: one contiguous ``uint8`` array of
         every payload in **input key order**, plus the per-key payload
         byte counts.  Raises ``KeyError`` carrying the list of missing
         keys.  Callers pass already-deduplicated keys (the batched
-        probe does); repeated keys would each pay a lookup.
+        probe and ``GraphStore.get_neighbors_many`` do); repeated keys
+        would each pay a lookup.
 
-        This is the batched-probe hot path.  :meth:`get_many` spends
-        most of its time in per-record Python — one slice, one dict
-        store, one bytes object per record — which at 10⁵ records per
-        batch dwarfs the actual I/O.  Here the per-record work drops to
-        the checksum validation loop; payload extraction from the
-        coalesced span buffers and reordering into key order are a
-        handful of whole-batch numpy gathers.  Stats and receipt
-        booking are identical to :meth:`get_many` over the same keys —
-        one cache hit/miss per key, one disk read per uncached stored
-        key — so engines using either path book the same totals.
-
-        Two tiers: with no block cache, the whole call is numpy (index
-        lookup via ``searchsorted`` against the sorted ``_vindex``
-        mirror) with zero per-record Python — records still carrying
-        their first-touch checksum (freshly appended this open) are
-        verified in a small unbooked pre-pass first, so a trickle of
-        writes cannot demote whole probe batches off the fast tier.
-        With a block cache, a per-record pass handles cache fills and
-        checksums together.
+        The whole call is numpy, with zero per-record Python: locations
+        come from one ``searchsorted`` against the sorted ``_vindex``
+        mirror, and records still carrying their first-touch checksum
+        (freshly appended this open) are verified in a small unbooked
+        pre-pass, so a trickle of writes cannot slow whole probe
+        batches.  Hot-cache hits are served straight from cached
+        decodes (one searchsorted + one gather); only the cold
+        remainder touches the log, and its decoded bytes are offered
+        back for admission.  Every key books one disk read and its
+        stored bytes, whichever tier served it.
         """
-        if self._cache is None:
-            vi = self._vindex
-            if vi is None:
-                vi = self._vindex = self._build_vindex()
-            karr = np.asarray(keys, dtype=np.int64)
-            vkeys, voffs, vszs, varmed, vrtypes, vrawszs = vi
-            if len(vkeys) == 0:
-                if len(karr):
-                    raise KeyError(sorted(set(karr.tolist())))
-                empty = np.zeros(0, dtype=np.int64)
-                return np.zeros(0, dtype=np.uint8), empty
-            pos = np.minimum(np.searchsorted(vkeys, karr), len(vkeys) - 1)
-            found = vkeys[pos] == karr
-            if not found.all():
-                raise KeyError(sorted(set(karr[~found].tolist())))
-            if self.verify_reads and bool(varmed[pos].any()):
-                self._verify_keys(karr[varmed[pos]])
-                vi = self._vindex
-                if vi is None:
-                    vi = self._vindex = self._build_vindex()
-                vkeys, voffs, vszs, varmed, vrtypes, vrawszs = vi
-                pos = np.minimum(np.searchsorted(vkeys, karr),
-                                 len(vkeys) - 1)
-            return self._packed_vectorized(karr, voffs[pos], vszs[pos],
-                                           vrtypes[pos], vrawszs[pos],
-                                           receipt)
-        n = len(keys)
-        lengths_l = [0] * n
-        cached_parts: list[tuple[int, bytes]] = []
-        pending: list[tuple[int, int, int | None, int, int, int, int]] = []
-        missing: list[int] = []
-        cache_hits = cache_misses = 0
-        cache = self._cache
-        index_get = self._index.get
-        for pos, key in enumerate(keys):
-            key = int(key)
-            if cache is not None:
-                cached = cache.get(key)
-                if cached is not None:
-                    cache_hits += 1
-                    cached_parts.append((pos, cached))
-                    lengths_l[pos] = len(cached)
-                    continue
-                cache_misses += 1
-            loc = index_get(key)
-            if loc is None:
-                missing.append(key)
-                continue
-            pending.append((*loc, key, pos))
-            lengths_l[pos] = loc[4]
-        if cache_hits:
-            self.stats.inc("cache_hits", cache_hits)
-        if cache_misses:
-            self.stats.inc("cache_misses", cache_misses)
-        if receipt is not None:
-            receipt.count_cache_hits(cache_hits)
-        if missing:
-            raise KeyError(missing)
-        lengths = np.asarray(lengths_l, dtype=np.int64)
-        starts = np.zeros(n, dtype=np.int64)
+        vi = self._vindex
+        if vi is None:
+            vi = self._vindex = self._build_vindex()
+        karr = np.asarray(keys, dtype=np.int64)
+        vkeys, voffs, vszs, varmed, vrtypes, vrawszs = vi
+        if len(vkeys) == 0:
+            if len(karr):
+                raise KeyError(sorted(set(karr.tolist())))
+            empty = np.zeros(0, dtype=np.int64)
+            return np.zeros(0, dtype=np.uint8), empty
+        pos = np.minimum(np.searchsorted(vkeys, karr), len(vkeys) - 1)
+        found = vkeys[pos] == karr
+        if not found.all():
+            raise KeyError(sorted(set(karr[~found].tolist())))
+        armed = varmed[pos]
+        if self.verify_reads and bool(armed.any()):
+            self._verify_keys(karr[armed])
+            # Verification only disarms crcs, so every location in the
+            # mirror stays valid: disarm its column in place instead of
+            # rebuilding the whole mirror a second time this call.
+            varmed[pos[armed]] = False
+            self._vindex = vi
+        n = len(karr)
+        offs, szs, rtypes = voffs[pos], vszs[pos], vrtypes[pos]
+        rawszs = lengths = vrawszs[pos]
+        slots = starts = np.zeros(n, dtype=np.int64)
         np.cumsum(lengths[:-1], out=starts[1:])
-        out = np.zeros(int(lengths.sum()), dtype=np.uint8)
-        if pending:
-            pending.sort(key=operator.itemgetter(0))
-            if self._pending_flush:
-                self._file.flush()
-                self._pending_flush = False
-            offs = np.asarray([item[0] for item in pending], dtype=np.int64)
-            szs = np.asarray([item[1] for item in pending], dtype=np.int64)
-            rtypes = np.asarray([item[3] for item in pending], dtype=np.int64)
-            rawszs = np.asarray([item[4] for item in pending], dtype=np.int64)
-            slots = starts[np.asarray([item[6] for item in pending],
-                                      dtype=np.int64)]
-            ends = offs + szs
-            spans = self._spans_of(offs, ends)
-            src, src_offs = self._gather_spans(offs, szs, ends, spans,
-                                               receipt)
-            verify = self.verify_reads
-            if verify:
-                # Validation stays per record (each has its own stored
-                # crc) but runs flat — at 10^5 records per batch even
-                # one extra call per record is visible.
-                crc32 = zlib.crc32
-                prefix_pack = _CRC_PREFIX.pack
-                index = self._index
-                for i, item in enumerate(pending):
-                    offset, size, crc, rtype, raw_size, key, _pos = item
-                    if crc is None:
-                        continue
-                    rel = int(src_offs[i])
-                    if crc32(src[rel:rel + size],
-                             crc32(prefix_pack(rtype, key, size))) != crc:
-                        self.stats.inc("checksum_failures")
-                        raise CorruptRecordError(
-                            f"key {key}: checksum mismatch at "
-                            f"offset {offset}"
-                        )
-                    # Verify-once-per-open, as _validate_record.
-                    index[key] = (offset, size, None, rtype, raw_size)
-                    self._vindex = None
-            # One scatter (raw) plus one bulk decode pass (compressed)
-            # places every record read above into its key-order slot.
-            assemble_packed(src, src_offs, szs, rtypes, rawszs, out, slots)
-            if cache is not None:
-                for i, item in enumerate(pending):
-                    start = int(slots[i])
-                    cache.put(item[5], out[start:start + item[4]].tobytes())
-        for pos, blob in cached_parts:
-            start = starts[pos]
-            out[start:start + len(blob)] = np.frombuffer(blob,
-                                                         dtype=np.uint8)
+        out = np.empty(int(lengths.sum()), dtype=np.uint8)
+        if n == 0:
+            return out, lengths
+        if self._pending_flush:
+            self._file.flush()
+            self._pending_flush = False
+        hot = self._hot
+        if hot is not None:
+            served = hot.fill_hits(karr, lengths, out, starts)
+            if served is not None:
+                hit, stored = served
+                n_hits = int(hit.sum())
+                if n_hits:
+                    # Stats-transparent booking: a hit costs what the
+                    # stored record's read would (mmap-tier precedent).
+                    self.stats.inc("disk_reads", n_hits)
+                    self.stats.inc("bytes_read", stored)
+                    if receipt is not None:
+                        receipt.count_disk_reads(n_hits, stored)
+                    if n_hits == n:
+                        return out, lengths
+                    cold = np.flatnonzero(~hit)
+                    karr, offs, szs = karr[cold], offs[cold], szs[cold]
+                    rtypes, rawszs = rtypes[cold], rawszs[cold]
+                    slots = starts[cold]
+        self._cold_assemble(offs, szs, rtypes, rawszs, out, slots, receipt)
+        if hot is not None:
+            hot.admit(karr, out, slots, rawszs, szs)
         return out, lengths
 
     def book_hot_serves(self, count: int, stored_bytes: int,
@@ -838,74 +655,13 @@ class DiskKVStore:
             spans.append((lo, hi))
         return spans
 
-    def _packed_vectorized(self, keys_u: np.ndarray, offs_u: np.ndarray,
-                           szs_u: np.ndarray, rtypes_u: np.ndarray,
-                           rawszs_u: np.ndarray,
-                           receipt: ReadReceipt | None,
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-per-record-Python tier of :meth:`get_many_packed`.
-
-        Preconditions (checked by the caller): no block cache, every
-        record's location resolved via ``_vindex``, and nothing left to
-        checksum (``verify_reads`` off or every record verified this
-        open).  With an mmap view the whole call is numpy against the
-        page cache; otherwise only the span-read loop remains in Python
-        — a handful of positional reads per batch into one
-        preallocated buffer.
-
-        The hot cache slots in above both: hits are served straight
-        from cached decodes (one searchsorted + one gather, booking
-        the same logical reads the stored records would have cost),
-        only the cold remainder touches the log, and that remainder's
-        decoded bytes are offered back for admission.
-        """
-        n = len(offs_u)
-        lengths = rawszs_u
-        starts = np.zeros(n, dtype=np.int64)
-        np.cumsum(lengths[:-1], out=starts[1:])
-        out = np.empty(int(lengths.sum()), dtype=np.uint8)
-        if n == 0:
-            return out, lengths
-        if self._pending_flush:
-            self._file.flush()
-            self._pending_flush = False
-        hot = self._hot
-        if hot is not None:
-            served = hot.fill_hits(keys_u, rawszs_u, out, starts)
-            if served is not None:
-                hit, stored = served
-                n_hits = int(hit.sum())
-                if n_hits:
-                    # Stats-transparent booking: a hit costs what the
-                    # stored record's read would (mmap-tier precedent).
-                    self.stats.inc("disk_reads", n_hits)
-                    self.stats.inc("bytes_read", stored)
-                    if receipt is not None:
-                        receipt.count_disk_reads(n_hits, stored)
-                    if n_hits == n:
-                        return out, lengths
-                    cold = np.flatnonzero(~hit)
-                    self._cold_assemble(offs_u[cold], szs_u[cold],
-                                        rtypes_u[cold], rawszs_u[cold],
-                                        out, starts[cold], receipt)
-                    hot.admit(keys_u[cold], out, starts[cold],
-                              rawszs_u[cold], szs_u[cold])
-                    return out, lengths
-            self._cold_assemble(offs_u, szs_u, rtypes_u, rawszs_u,
-                                out, starts, receipt)
-            hot.admit(keys_u, out, starts, rawszs_u, szs_u)
-            return out, lengths
-        self._cold_assemble(offs_u, szs_u, rtypes_u, rawszs_u,
-                            out, starts, receipt)
-        return out, lengths
-
     def _cold_assemble(self, offs_u: np.ndarray, szs_u: np.ndarray,
                        rtypes_u: np.ndarray, rawszs_u: np.ndarray,
                        out: np.ndarray, slots: np.ndarray,
                        receipt: ReadReceipt | None) -> None:
         """Read + decode records from the log into ``out`` at ``slots``.
 
-        The storage-touching half of :meth:`_packed_vectorized`: one
+        The storage-touching half of :meth:`get_many_packed`: one
         mmap gather when the map is live, coalesced positional reads
         otherwise, with identical logical booking either way.
         """
@@ -1030,29 +786,6 @@ class DiskKVStore:
             except BufferError:
                 pass
 
-    @staticmethod
-    def _coalesce(pending):
-        """Group offset-sorted records into contiguous read spans.
-
-        Records whose payloads are separated by at most
-        ``_SPAN_GAP_BYTES`` (i.e. only a frame header apart) share one
-        span; spans are capped at ``_SPAN_MAX_BYTES``.  Live records
-        never overlap, so a span's length is simply last-end minus
-        first-start.
-        """
-        span: list[tuple[int, int, int | None, int]] = []
-        end = 0
-        for item in pending:
-            offset, size = item[0], item[1]
-            if span and (offset - end > _SPAN_GAP_BYTES
-                         or offset + size - span[0][0] > _SPAN_MAX_BYTES):
-                yield span
-                span = []
-            span.append(item)
-            end = offset + size
-        if span:
-            yield span
-
     def delete(self, key: int) -> bool:
         """Remove ``key``; appends a tombstone so recovery stays correct."""
         if key not in self._index:
@@ -1072,8 +805,6 @@ class DiskKVStore:
         self._update_compression_gauge()
         self._vindex = None
         self.mutation_count += 1
-        if self._cache is not None:
-            self._cache.evict(key)
         if self._hot is not None:
             self._hot.evict(key)
         return True
@@ -1144,8 +875,6 @@ class DiskKVStore:
         self._vindex = None
         self.mutation_count += 1
         self._recount_live_bytes()
-        if self._cache is not None:
-            self._cache.clear()
         if self._hot is not None:
             # Every offset moved; cached decodes stay byte-correct but
             # the stored sizes they book may not, so drop wholesale.
@@ -1260,16 +989,13 @@ class InMemoryKVStore:
     """Dict-backed store with the same interface and stats semantics.
 
     Each ``get`` still counts as a "disk read" so application-level
-    access accounting behaves identically in tests, and ``cache_bytes``
-    fronts reads with the same :class:`LRUCache` path as the disk
-    store, so cache-statistics tests have backend parity.
+    access accounting behaves identically in tests.
     """
 
-    def __init__(self, cache_bytes: int = 0, hot_cache_bytes: int = 0):
+    def __init__(self, hot_cache_bytes: int = 0):
         self.stats = StorageStats()
         self.mutation_count = 0  # interface parity with DiskKVStore
         self._data: dict[int, bytes] = {}
-        self._cache = LRUCache(cache_bytes) if cache_bytes > 0 else None
         # Accepted for constructor parity; a dict store's values are
         # already decoded in memory, so there is nothing to hot-cache.
         self.hot_cache = None
@@ -1289,39 +1015,16 @@ class InMemoryKVStore:
         self.mutation_count += 1
         self.stats.inc("disk_writes")
         self.stats.inc("bytes_written", len(value))
-        if self._cache is not None:
-            self._cache.put(key, value)
 
     def get(self, key: int,
             receipt: ReadReceipt | None = None) -> bytes | None:
-        if self._cache is not None:
-            with default_tracer().span("cache"):
-                cached = self._cache.get(key)
-            if cached is not None:
-                self.stats.inc("cache_hits")
-                if receipt is not None:
-                    receipt.count_cache_hit()
-                return cached
-            self.stats.inc("cache_misses")
         value = self._data.get(key)
         if value is not None:
             self.stats.inc("disk_reads")
             self.stats.inc("bytes_read", len(value))
             if receipt is not None:
                 receipt.count_disk_read(len(value))
-            if self._cache is not None:
-                self._cache.put(key, value)
         return value
-
-    def get_many(self, keys,
-                 receipt: ReadReceipt | None = None) -> dict[int, bytes | None]:
-        """Batched read with the same dedup semantics as the disk store."""
-        result: dict[int, bytes | None] = {}
-        for key in keys:
-            key = int(key)
-            if key not in result:
-                result[key] = self.get(key, receipt=receipt)
-        return result
 
     def get_many_packed(self, keys,
                         receipt: ReadReceipt | None = None,
@@ -1352,8 +1055,6 @@ class InMemoryKVStore:
             del self._data[key]
             self.mutation_count += 1
             self.stats.inc("disk_writes")
-            if self._cache is not None:
-                self._cache.evict(key)
             return True
         return False
 

@@ -15,7 +15,7 @@ make that concrete here:
   owning shard.
 - :class:`ShardedGraphStore` — S independent
   :class:`~repro.storage.graphstore.GraphStore` segments, each backed
-  by its own log file and shard-local LRU cache, behind the exact
+  by its own log file and shard-local hot cache, behind the exact
   ``GraphStore`` interface.  Edge ``(u, v)`` is stored as two
   half-edges routed to the segments owning ``u`` and ``v``; batched
   probes partition the pair array by the owner of the *left* endpoint,
@@ -303,7 +303,7 @@ class _SummedStorageStats:
     """Read-only aggregate over the per-segment ``StorageStats`` views."""
 
     _FIELDS = ("disk_reads", "disk_writes", "bytes_read", "bytes_written",
-               "cache_hits", "cache_misses", "checksum_failures",
+               "checksum_failures",
                "compressed_puts", "blob_bytes_raw", "blob_bytes_stored")
 
     def __init__(self, segments: list[GraphStore]):
@@ -353,10 +353,6 @@ class ShardedGraphStore:
         None for in-memory segments (tests).
     num_shards:
         Segment count.  1 is legal and behaves like a plain store.
-    cache_bytes:
-        **Total** block-cache budget, split evenly across the
-        shard-local caches so memory use matches a same-budget
-        unsharded store.  Each replica copy carries its shard's budget.
     kv_factory:
         Optional ``(segment_path, shard) -> kv store`` hook.  This is
         the per-shard fault-injection passthrough: wrap any segment in
@@ -373,13 +369,15 @@ class ShardedGraphStore:
         (primary + R replicas, synchronous writes, read failover).
     hot_cache_bytes:
         **Total** decoded-blob hot-cache budget, split evenly across
-        the shard-local caches like ``cache_bytes`` (the adaptive
-        tuner may rebalance per shard afterwards).  Ignored when
+        the shard-local caches so memory use matches a same-budget
+        unsharded store (the adaptive tuner may rebalance per shard
+        afterwards).  Each replica copy carries its shard's budget.
+        Ignored when
         ``kv_factory`` builds the stores or segments are in-memory.
     """
 
     def __init__(self, path: str | Path | None = None, num_shards: int = 1,
-                 cache_bytes: int = 0, kv_factory=None,
+                 kv_factory=None,
                  compress: bool = False, use_mmap: bool = False,
                  replicas: int = 0, hot_cache_bytes: int = 0):
         if replicas < 0:
@@ -387,7 +385,6 @@ class ShardedGraphStore:
         self._lock = _RWLock(name="ShardedGraphStore._lock")
         self._router = ShardRouter(num_shards)  # guarded-by: self._lock
         self._path = path  # guarded-by: self._lock
-        self._cache_bytes = cache_bytes
         self._hot_cache_bytes = hot_cache_bytes
         self._kv_factory = kv_factory
         self._compress = compress
@@ -407,19 +404,16 @@ class ShardedGraphStore:
         """One shard: a plain ``GraphStore`` or a replicated set."""
         if path is None:
             path = self._path
-        per_shard_cache = (self._cache_bytes // num_shards
-                           if num_shards else 0)
-        # Like the block cache, the hot-cache budget is a store-wide
-        # total split evenly; the adaptive tuner rebalances per shard
-        # afterwards via HotSetCache.set_capacity.
+        # The hot-cache budget is a store-wide total split evenly; the
+        # adaptive tuner rebalances per shard afterwards via
+        # HotSetCache.set_capacity.
         per_shard_hot = (self._hot_cache_bytes // num_shards
                          if num_shards else 0)
 
         def make(seg_path):
             if self._kv_factory is not None:
                 return GraphStore(kv=self._kv_factory(seg_path, shard))
-            return GraphStore(seg_path, cache_bytes=per_shard_cache,
-                              compress=self._compress,
+            return GraphStore(seg_path, compress=self._compress,
                               use_mmap=self._use_mmap,
                               hot_cache_bytes=per_shard_hot)
 
@@ -525,8 +519,8 @@ class ShardedGraphStore:
     def hot_caches(self) -> list:
         """Per-segment decoded-blob hot caches (empty when disabled).
 
-        Replicated segments have none (their copies are plain block
-        stores); this is the handle the adaptive tuner iterates to
+        Replicated segments have none (the wrapper exposes no single
+        copy's cache); this is the handle the adaptive tuner iterates to
         sample access frequencies and rebalance budgets.
         """
         out = []
@@ -647,8 +641,8 @@ class ShardedGraphStore:
         """
         return self.segments[shard].probe_edges(us, vs, receipt=receipt)
 
-    def has_edge_many(self, us, vs,
-                      receipt: ReadReceipt | None = None) -> np.ndarray:
+    def probe_edges(self, us, vs,
+                    receipt: ReadReceipt | None = None) -> np.ndarray:
         """Vectorized edge queries, partitioned by owning shard.
 
         Serial loop over the segments (the thread fan-out lives in the
@@ -733,7 +727,7 @@ class ShardedGraphStore:
     # -- resharding --------------------------------------------------------
 
     def reshard(self, num_shards: int, path: str | Path | None = None,
-                cache_bytes=_INHERIT, kv_factory=_INHERIT,
+                kv_factory=_INHERIT,
                 compress=_INHERIT, use_mmap=_INHERIT,
                 replicas=_INHERIT,
                 hot_cache_bytes=_INHERIT) -> "ShardedGraphStore":
@@ -745,7 +739,7 @@ class ShardedGraphStore:
         decides *placement*, never encoding.
 
         Storage configuration — ``compress``, ``use_mmap``,
-        ``cache_bytes``, ``hot_cache_bytes``, ``kv_factory``,
+        ``hot_cache_bytes``, ``kv_factory``,
         ``replicas`` — is **inherited
         from this store** unless explicitly overridden, so resharding a
         compressed+mmap deployment yields a compressed+mmap target (it
@@ -761,8 +755,6 @@ class ShardedGraphStore:
         """
         target = ShardedGraphStore(
             path, num_shards=num_shards,
-            cache_bytes=(self._cache_bytes if cache_bytes is _INHERIT
-                         else cache_bytes),
             kv_factory=(self._kv_factory if kv_factory is _INHERIT
                         else kv_factory),
             compress=(self._compress if compress is _INHERIT else compress),

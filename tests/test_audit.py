@@ -153,6 +153,21 @@ def test_cli_audit_sweep(capsys):
         assert name in out
 
 
+def test_cli_audit_compress_mmap_sweeps_at_one_shard(capsys):
+    """The serial auditor opens no store, so ``--compress --mmap`` at
+    one shard must still run the store-backed sweep over a mixed
+    raw/compressed log instead of being silently ignored."""
+    code = cli_main([
+        "audit", "--solutions", "hybrid", "--vertices", "100",
+        "--avg-degree", "4", "--pairs", "100", "--updates", "5", "--k", "4",
+        "--shards", "1", "--compress", "--mmap",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "parallel engine sweep: shards=1" in out
+    assert "compress=True mmap=True" in out
+
+
 def test_cli_audit_single_solution(capsys):
     code = cli_main([
         "audit", "--solutions", "partial", "--vertices", "100",

@@ -1,7 +1,7 @@
 """Batch-pipeline equivalence: every vectorized path ≡ its scalar twin.
 
 The batched NDF (`is_nonedge_batch`), the batched storage reads
-(`get_many`, `get_neighbors_many`, `has_edge_many`) and the batched
+(`get_neighbors_many`, `probe_edges`) and the batched
 engine (`run_batch`) are pure execution-strategy changes — these tests
 pin them to the scalar reference answers on random graphs, including
 unknown vertices, self-pairs and both call forms.
@@ -93,28 +93,20 @@ class TestNdfEquivalence:
 
 
 class TestBatchStorage:
-    def make_store(self, tmp_path, cache_bytes=0):
+    def make_store(self, tmp_path):
         graph = erdos_renyi_graph(50, 180, seed=21)
-        store = GraphStore(tmp_path / "g.log", cache_bytes=cache_bytes)
+        store = GraphStore(tmp_path / "g.log")
         store.bulk_load(graph)
         return graph, store
 
-    def test_get_many_dedups_and_sorts_reads(self, tmp_path):
+    def test_get_neighbors_many_dedups_reads(self, tmp_path):
         graph, store = self.make_store(tmp_path)
-        kv = store._kv
-        keys = [1, 2, 1, 2, 1]
         store.stats.reset()
-        result = kv.get_many(keys)
-        assert store.stats.disk_reads == 2  # one physical read per distinct key
-        assert set(result) == {1, 2}
-        assert result[1] is not None and result[2] is not None
-        store.close()
-
-    def test_get_many_missing_key_is_none(self, tmp_path):
-        _, store = self.make_store(tmp_path)
-        result = store._kv.get_many([1, 10**6])
-        assert result[10**6] is None
-        assert result[1] is not None
+        result = store.get_neighbors_many([1, 2, 1, 2, 1])
+        assert store.stats.disk_reads == 2  # one read per distinct key
+        assert list(result) == [1, 2]
+        for v in (1, 2):
+            assert result[v].tolist() == store.get_neighbors(v)
         store.close()
 
     def test_get_neighbors_many_matches_scalar(self, tmp_path):
@@ -131,7 +123,7 @@ class TestBatchStorage:
             store.get_neighbors_many([1, 999_999])
         store.close()
 
-    def test_has_edge_many_matches_scalar(self, tmp_path):
+    def test_probe_edges_matches_scalar(self, tmp_path):
         graph, store = self.make_store(tmp_path)
         rng = np.random.default_rng(31)
         vertices = sorted(graph.vertices())
@@ -141,28 +133,14 @@ class TestBatchStorage:
         vs[rng.random(300) < 0.05] = -1                # out-of-range probe
         vs[rng.random(300) < 0.05] = 2**32 + 5         # beyond uint32
         scalar = [store.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
-        assert store.has_edge_many(us, vs).tolist() == scalar
-        assert store.has_edge_many([], []).tolist() == []
+        assert store.probe_edges(us, vs).tolist() == scalar
+        assert store.probe_edges([], []).tolist() == []
         store.close()
 
-    def test_has_edge_many_raises_on_unknown_source(self, tmp_path):
+    def test_probe_edges_raises_on_unknown_source(self, tmp_path):
         _, store = self.make_store(tmp_path)
         with pytest.raises(KeyError):
-            store.has_edge_many([999_999], [1])
-        store.close()
-
-    def test_get_many_second_pass_served_by_cache(self, tmp_path):
-        graph, store = self.make_store(tmp_path, cache_bytes=1 << 20)
-        vertices = sorted(graph.vertices())[:10]
-        store._kv._cache.clear()  # bulk_load pre-warmed the cache
-        store.stats.reset()
-        store.get_neighbors_many(vertices)
-        first = store.stats.snapshot()
-        assert first["disk_reads"] == len(vertices)
-        store.get_neighbors_many(vertices)
-        second = store.stats.snapshot()
-        assert second["disk_reads"] == first["disk_reads"]  # no new I/O
-        assert second["cache_hits"] - first["cache_hits"] == len(vertices)
+            store.probe_edges([999_999], [1])
         store.close()
 
 
@@ -184,7 +162,7 @@ class TestEngineEquivalence:
         batch = EdgeQueryEngine(store, solution)
         b = batch.run_batch(pairs)
 
-        # Dedup changes cache/disk_served; the logical totals must match.
+        # Dedup changes disk_served; the logical totals must match.
         assert (b.total, b.filtered, b.executed, b.positives) == \
                (s.total, s.filtered, s.executed, s.positives)
         scalar2 = EdgeQueryEngine(store, solution)
@@ -216,6 +194,6 @@ class TestEngineEquivalence:
         engine.stats.reset()
         snapshot = engine.stats
         assert (snapshot.total, snapshot.filtered, snapshot.executed,
-                snapshot.positives, snapshot.cache_served,
-                snapshot.disk_served) == (0, 0, 0, 0, 0, 0)
+                snapshot.positives,
+                snapshot.disk_served) == (0, 0, 0, 0, 0)
         assert snapshot.elapsed_seconds == 0.0

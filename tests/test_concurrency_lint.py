@@ -61,9 +61,9 @@ def test_static_lock_graph_is_acyclic_and_resolves_wrappers():
     edges = static_lock_edges([SRC])
     assert find_cycle(edges) is None
     # The walker must see *through* the segment union type
-    # (GraphStore | ReplicatedShard) to the LRU cache the plain store
+    # (GraphStore | ReplicatedShard) to the hot cache the plain store
     # owns — the inheritance/wrapper chain of the storage layer.
-    assert ("ShardedGraphStore._lock", "LRUCache._lock") in edges
+    assert ("ShardedGraphStore._lock", "HotSetCache._lock") in edges
     assert ("ParallelEdgeQueryEngine._book_lock",
             "MetricsRegistry._lock") in edges
 

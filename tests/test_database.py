@@ -27,6 +27,7 @@ class TestSetup:
         ({"executor": "fibers"}, "executor"),
         ({"workers": 0}, "workers"),
         ({"workers": -1}, "workers"),
+        ({"cache_bytes": 65536}, "block cache was removed"),
     ])
     def test_invalid_executor_and_workers(self, kwargs, match):
         # Rejected at every shard count, not only where the parallel

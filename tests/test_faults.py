@@ -40,7 +40,8 @@ def test_clean_passthrough(tmp_path):
         store.put(1, b"hello")
         store.put(2, b"world")
         assert store.get(1) == b"hello"
-        assert store.get_many([1, 2]) == {1: b"hello", 2: b"world"}
+        data, lengths = store.get_many_packed([1, 2])
+        assert (bytes(data), lengths.tolist()) == (b"helloworld", [5, 5])
         assert store.delete(2)
         assert len(store) == 1 and 1 in store
         assert sorted(store.keys()) == [1]
@@ -234,7 +235,9 @@ def test_torn_write_crash_never_corrupts_committed_data(tmp_path, seed_offset):
 
     with DiskKVStore(path) as recovered:
         assert 99 not in recovered
-        assert recovered.get_many(list(committed)) == committed
+        data, lengths = recovered.get_many_packed(list(committed))
+        assert bytes(data) == b"".join(committed.values())
+        assert lengths.tolist() == [len(v) for v in committed.values()]
         recovered.put(100, b"life-goes-on")
     assert path.stat().st_size > committed_size
     with DiskKVStore(path) as recovered:

@@ -39,7 +39,7 @@ def pipeline(tmp_path_factory):
     edge_file = tmp / "graph.txt"
     write_edge_list(graph, edge_file)
     reloaded = read_edge_list(edge_file)
-    store = GraphStore(tmp / "adjacency.log", cache_bytes=0)
+    store = GraphStore(tmp / "adjacency.log")
     store.bulk_load(reloaded)
     vend = HybPlusVend(k=4)
     vend.build(reloaded)

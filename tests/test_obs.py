@@ -217,16 +217,14 @@ class TestTracer:
 class TestReadReceipt:
     def test_counting_and_merge(self):
         receipt = ReadReceipt()
-        receipt.count_cache_hit()
         receipt.count_disk_read(64)
-        assert (receipt.cache_hits, receipt.disk_reads,
-                receipt.bytes_read) == (1, 1, 64)
-        assert receipt.served == 2
+        receipt.count_disk_reads(2, 6)
+        assert (receipt.disk_reads, receipt.bytes_read) == (3, 70)
         other = ReadReceipt()
         other.count_disk_read(10)
         receipt.merge(other)
-        assert receipt.disk_reads == 2
-        assert receipt.bytes_read == 74
+        assert receipt.disk_reads == 4
+        assert receipt.bytes_read == 80
 
 
 class TestStatsViews:
@@ -284,9 +282,9 @@ class TestStatsViews:
         assert not stats.degraded
 
 
-def _loaded_store(cache_bytes: int = 0) -> tuple[Graph, GraphStore]:
+def _loaded_store() -> tuple[Graph, GraphStore]:
     graph = erdos_renyi_graph(80, 240, seed=9)
-    store = GraphStore(cache_bytes=cache_bytes)
+    store = GraphStore()
     store.bulk_load(graph)
     return graph, store
 
@@ -295,7 +293,7 @@ class TestAttribution:
     """The headline bugfix: receipt-scoped per-engine accounting."""
 
     def test_serial_interleave_books_io_to_the_right_engine(self):
-        graph, store = _loaded_store(cache_bytes=1 << 16)
+        graph, store = _loaded_store()
         engine_a = EdgeQueryEngine(store)
         engine_b = EdgeQueryEngine(store)
         edges = sorted(graph.edges())[:20]
@@ -310,20 +308,17 @@ class TestAttribution:
         for engine in (engine_a, engine_b):
             stats = engine.stats
             assert stats.executed == len(edges)
-            # Scalar path: one storage get per executed query, each
-            # either cache- or disk-served — exactly, not at-least.
-            assert stats.cache_served + stats.disk_served == stats.executed
-        assert maintenance.served == len(edges)
-        # The maintenance fetches warmed the cache for nobody's books
-        # but their own: totals across all three actors equal the
-        # store's real I/O.
-        served = (engine_a.stats.cache_served + engine_a.stats.disk_served
-                  + engine_b.stats.cache_served + engine_b.stats.disk_served
-                  + maintenance.served)
-        assert served == 3 * len(edges)
+            # Scalar path: one storage get per executed query —
+            # exactly, not at-least.
+            assert stats.disk_served == stats.executed
+        assert maintenance.disk_reads == len(edges)
+        # Totals across all three actors equal the store's real I/O.
+        served = (engine_a.stats.disk_served + engine_b.stats.disk_served
+                  + maintenance.disk_reads)
+        assert served == 3 * len(edges) == store.stats.disk_reads
 
     def test_threaded_engines_never_steal_each_others_io(self):
-        graph, store = _loaded_store(cache_bytes=0)
+        graph, store = _loaded_store()
         engine_a = EdgeQueryEngine(store)
         engine_b = EdgeQueryEngine(store)
         edges = sorted(graph.edges())[:40]
@@ -353,16 +348,15 @@ class TestAttribution:
         for thread in threads:
             thread.join()
         assert not errors
-        # No cache: every get is a physical read.  Whatever the
-        # interleaving, each engine's books must equal its own load.
+        # Every get is a physical read.  Whatever the interleaving,
+        # each engine's books must equal its own load.
         for engine in (engine_a, engine_b):
             assert engine.stats.executed == len(edges)
             assert engine.stats.disk_served == len(edges)
-            assert engine.stats.cache_served == 0
         assert maintenance.disk_reads == len(edges)
 
     def test_batched_path_accounts_deduplicated_io(self):
-        graph, store = _loaded_store(cache_bytes=0)
+        graph, store = _loaded_store()
         engine = EdgeQueryEngine(store)
         edges = sorted(graph.edges())[:30]
         answers = engine.has_edge_batch(edges)
@@ -373,11 +367,11 @@ class TestAttribution:
         # Dedup means the batch paid one read per distinct left
         # endpoint — and the receipt booked exactly those.
         assert stats.disk_served == unique_sources
-        assert stats.cache_served + stats.disk_served <= stats.executed
+        assert stats.disk_served <= stats.executed
 
     def test_database_maintenance_reads_stay_out_of_query_books(self):
         graph = erdos_renyi_graph(60, 180, seed=3)
-        db = VendGraphDB(k=6, cache_bytes=1 << 16)
+        db = VendGraphDB(k=6)
         db.load_graph(graph)
         for u, v in sorted(graph.edges())[:10]:
             db.has_edge(u, v)
@@ -395,7 +389,7 @@ class TestAttribution:
 
 
 _PROP_GRAPH = erdos_renyi_graph(50, 150, seed=21)
-_PROP_STORE = GraphStore(cache_bytes=1 << 16)
+_PROP_STORE = GraphStore()
 _PROP_STORE.bulk_load(_PROP_GRAPH)
 _PROP_FILTER = HybPlusVend(k=6)
 _PROP_FILTER.build(_PROP_GRAPH)
@@ -419,10 +413,10 @@ class TestCounterInvariants:
         stats = engine.stats
         assert stats.total == len(pairs)
         assert stats.filtered + stats.executed == stats.total
-        assert stats.cache_served + stats.disk_served <= stats.executed
+        assert stats.disk_served <= stats.executed
         if not batch:
             # Scalar path never dedups: provenance is exact per query.
-            assert stats.cache_served + stats.disk_served == stats.executed
+            assert stats.disk_served == stats.executed
         assert stats.positives <= stats.executed
 
 

@@ -23,7 +23,7 @@ from repro.workloads import common_neighbor_pairs, random_pairs
 
 ALL_SOLUTIONS = sorted(available_solutions())
 PARITY_FIELDS = ("total", "filtered", "executed", "positives",
-                 "cache_served", "disk_served")
+                 "disk_served")
 
 
 @pytest.fixture(scope="module")

@@ -53,7 +53,7 @@ class TestOnlineReshard:
             moved = store.migrate_step(8)
             us = verts[rng.integers(0, len(verts), size=64)]
             vs = verts[rng.integers(0, len(verts), size=64)]
-            got = store.has_edge_many(us, vs)
+            got = store.probe_edges(us, vs)
             expected = [g.has_edge(int(u), int(v)) for u, v in zip(us, vs)]
             assert got.tolist() == expected
             if moved == 0:
@@ -190,15 +190,15 @@ class TestReshardConfigInheritance:
     def test_offline_reshard_inherits_compress_and_mmap(self, tmp_path):
         g = _ring_graph(24)
         source = ShardedGraphStore(tmp_path / "src.db", num_shards=2,
-                                   cache_bytes=1 << 14, compress=True,
-                                   use_mmap=True)
+                                   compress=True, use_mmap=True,
+                                   hot_cache_bytes=1 << 14)
         source.bulk_load(g)
         target = source.reshard(4, path=tmp_path / "dst.db")
         _assert_matches(target, g)
         for seg in target.segments:
             assert seg._kv._compress is True
             assert seg._kv._use_mmap is True
-            assert seg._kv._cache is not None
+            assert seg._kv.hot_cache is not None
         # The target's records really are compressed blobs.
         target.put_neighbors(500, list(range(0, 64, 2)))
         assert target.stats.compressed_puts > 0
@@ -280,7 +280,7 @@ class TestConcurrentDeleteVertex:
         def reader():
             while not stop.is_set():
                 try:
-                    got = store.has_edge_many(us, vs)
+                    got = store.probe_edges(us, vs)
                 except KeyError:
                     # A fully-deleted vertex is a legitimate miss; a
                     # half-deleted one would show up as an asymmetry.

@@ -105,7 +105,7 @@ class TestShardedGraphStore:
                 if other != owner:
                     assert not store.segments[other].has_vertex(v)
 
-    def test_has_edge_many_matches_scalar(self):
+    def test_probe_edges_matches_scalar(self):
         g = powerlaw_graph(200, avg_degree=6, seed=3)
         store = ShardedGraphStore(num_shards=3)
         store.bulk_load(g)
@@ -113,7 +113,7 @@ class TestShardedGraphStore:
         verts = np.asarray(sorted(g.vertices()), dtype=np.int64)
         us = verts[rng.integers(0, len(verts), size=300)]
         vs = verts[rng.integers(0, len(verts), size=300)]
-        batch = store.has_edge_many(us, vs)
+        batch = store.probe_edges(us, vs)
         assert batch.tolist() == [store.has_edge(int(u), int(v))
                                   for u, v in zip(us, vs)]
 
@@ -156,7 +156,7 @@ class TestShardedGraphStore:
         store.bulk_load(g)
         store.stats.reset()
         verts = np.asarray(sorted(g.vertices()), dtype=np.int64)
-        store.has_edge_many(verts, np.roll(verts, -1))
+        store.probe_edges(verts, np.roll(verts, -1))
         total = store.stats.disk_reads
         assert total == sum(seg.stats.disk_reads for seg in store.segments)
         assert total == 64  # one adjacency read per distinct left endpoint

@@ -1,9 +1,8 @@
-"""Tests for the disk KV store, cache, and graph store."""
+"""Tests for the disk KV store and graph store."""
 
 import logging
 import os
 
-import numpy as np
 import pytest
 
 from repro.graph import DiGraph, Graph, erdos_renyi_graph
@@ -12,7 +11,6 @@ from repro.storage import (
     DiskKVStore,
     GraphStore,
     InMemoryKVStore,
-    LRUCache,
 )
 from repro.storage.kvstore import _FRAME, _HEADER_V1, _V1_TOMBSTONE, LOG_MAGIC
 
@@ -22,113 +20,6 @@ class _HugeValue(bytes):
 
     def __len__(self):
         return 0xFFFFFFFF
-
-
-class TestLRUCache:
-    def test_basic_put_get(self):
-        cache = LRUCache(100)
-        cache.put("a", b"xyz")
-        assert cache.get("a") == b"xyz"
-        assert cache.get("b") is None
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_eviction_order(self):
-        cache = LRUCache(6)
-        cache.put("a", b"xx")
-        cache.put("b", b"xx")
-        cache.put("c", b"xx")
-        cache.get("a")  # refresh a
-        cache.put("d", b"xx")  # evicts b (LRU)
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-
-    def test_oversized_value_not_cached(self):
-        cache = LRUCache(4)
-        cache.put("a", b"toolong")
-        assert cache.get("a") is None
-        assert cache.size_bytes == 0
-
-    def test_overwrite_updates_size(self):
-        cache = LRUCache(10)
-        cache.put("a", b"1234")
-        cache.put("a", b"12")
-        assert cache.size_bytes == 2
-
-    def test_evict_and_clear(self):
-        cache = LRUCache(10)
-        cache.put("a", b"12")
-        cache.evict("a")
-        assert cache.get("a") is None
-        cache.put("b", b"12")
-        cache.clear()
-        assert len(cache) == 0 and cache.size_bytes == 0
-
-    def test_hit_rate(self):
-        cache = LRUCache(10)
-        assert cache.hit_rate() == 0.0
-        cache.put("a", b"1")
-        cache.get("a")
-        cache.get("b")
-        assert cache.hit_rate() == pytest.approx(0.5)
-
-    def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            LRUCache(-1)
-
-    def test_eviction_counter(self):
-        cache = LRUCache(6)
-        cache.put("a", b"xx")
-        cache.put("b", b"xx")
-        cache.put("c", b"xx")
-        assert cache.evictions == 0
-        cache.put("d", b"xxxx")  # displaces a and b
-        assert cache.evictions == 2
-        cache.evict("c")  # explicit eviction is NOT counted
-        assert cache.evictions == 2
-        assert cache.stats()["evictions"] == 2
-
-    def test_ndarray_billed_by_nbytes_not_len(self):
-        """Regression: ``len()`` counts *elements*, so a uint32 array
-        used to be billed at a quarter of its footprint — 4 such
-        entries "fit" in a budget sized for 1, and an array whose
-        element count beat the capacity slipped the oversize check."""
-        cache = LRUCache(16)
-        arr = np.arange(4, dtype=np.uint32)  # len()=4 but 16 bytes
-        cache.put("a", arr)
-        assert cache.size_bytes == 16
-        cache.put("b", np.zeros(1, dtype=np.uint32))  # must evict "a"
-        assert cache.get("a") is None
-        assert cache.size_bytes == 4
-        # 5 elements > capacity 16 bytes? No: 20 bytes — uncacheable.
-        cache.put("c", np.zeros(5, dtype=np.uint32))
-        assert cache.get("c") is None
-        # Overwrite accounting uses the same byte sizing.
-        cache.put("b", np.zeros(2, dtype=np.uint32))
-        assert cache.size_bytes == 8
-
-    def test_oversized_overwrite_drops_stale_entry(self):
-        """A put too large to cache must not leave the old value
-        servable under the same key (it would be stale)."""
-        cache = LRUCache(4)
-        cache.put("a", b"old")
-        assert cache.get("a") == b"old"
-        cache.put("a", b"toolong")
-        assert cache.get("a") is None
-        assert cache.size_bytes == 0
-        assert cache.evictions == 1
-
-    def test_invalidation_counter(self):
-        cache = LRUCache(100)
-        cache.put("a", b"x")
-        cache.put("b", b"x")
-        assert cache.evict("a")
-        assert not cache.evict("a")
-        assert cache.invalidations == 1
-        cache.put("c", b"x")
-        cache.clear()
-        assert cache.invalidations == 3
-        assert cache.stats()["invalidations"] == 3
-        assert cache.evictions == 0
 
 
 class TestDiskKVStore:
@@ -176,14 +67,6 @@ class TestDiskKVStore:
             assert store.stats.disk_reads == 2
             assert store.stats.bytes_read == 8
             assert store.stats.disk_writes == 1
-
-    def test_cache_absorbs_reads(self, tmp_path):
-        with DiskKVStore(tmp_path / "db.log", cache_bytes=1024) as store:
-            store.put(1, b"abcd")
-            store.get(1)  # served from cache (put populated it)
-            store.get(1)
-            assert store.stats.disk_reads == 0
-            assert store.stats.cache_hits == 2
 
     def test_stats_reset_and_snapshot(self, tmp_path):
         with DiskKVStore(tmp_path / "db.log") as store:
@@ -325,15 +208,6 @@ class TestCompaction:
         with DiskKVStore(tmp_path / "e.log") as store:
             assert store.compact() == 0
 
-    def test_compact_clears_cache(self, tmp_path):
-        with DiskKVStore(tmp_path / "c.log", cache_bytes=1024) as store:
-            store.put(1, b"x" * 10)
-            store.compact()
-            store.stats.reset()
-            assert store.get(1) == b"x" * 10
-            assert store.stats.disk_reads == 1  # cache was invalidated
-
-
 class TestValueSizeLimit:
     """The v1 tombstone sentinel must never be writable as a length."""
 
@@ -351,37 +225,6 @@ class TestValueSizeLimit:
         with pytest.raises(ValueError, match="tombstone sentinel"):
             store.put(1, _HugeValue())
         assert 1 not in store
-
-
-class TestInMemoryCacheParity:
-    def test_cache_stats_match_disk_backend(self, tmp_path):
-        """The same op sequence must produce the same cache/disk
-        counters on both backends (the stats-parity contract)."""
-        disk = DiskKVStore(tmp_path / "p.log", cache_bytes=1024)
-        mem = InMemoryKVStore(cache_bytes=1024)
-        for store in (disk, mem):
-            store.put(1, b"abcd")
-            store.put(2, b"efgh")
-            store.get(1)       # hit: put populated the cache
-            store.get(3)       # miss + absent
-            store.get_many([1, 2, 2])
-        for field in ("cache_hits", "cache_misses", "disk_reads"):
-            assert getattr(disk.stats, field) == getattr(mem.stats, field), field
-        disk.close()
-
-    def test_inmemory_cache_absorbs_repeat_reads(self):
-        store = InMemoryKVStore(cache_bytes=1024)
-        store.put(1, b"abcd")
-        store.get(1)
-        store.get(1)
-        assert store.stats.cache_hits == 2
-        assert store.stats.disk_reads == 0
-
-    def test_inmemory_delete_invalidates_cache(self):
-        store = InMemoryKVStore(cache_bytes=1024)
-        store.put(1, b"abcd")
-        assert store.delete(1)
-        assert store.get(1) is None
 
 
 class TestCrashRecovery:
@@ -621,73 +464,36 @@ class TestAtomicCompaction:
                 assert reopened.get(key) == bytes([key]) * 16
 
 
-class TestLRUCacheThreadSafety:
-    def test_two_thread_hammer_keeps_books_consistent(self):
-        """Concurrent put/get/evict from two threads must never corrupt
-        the size accounting or raise — the cache is the one hot-path
-        structure shard-pool threads share."""
-        import threading
-
-        cache = LRUCache(1 << 12)
-        errors = []
-
-        def hammer(tid):
-            try:
-                for i in range(4000):
-                    key = (tid, i % 37)
-                    cache.put(key, bytes(29))
-                    cache.get(key)
-                    cache.get((1 - tid, i % 37))
-                    if i % 11 == 0:
-                        cache.evict(key)
-            except Exception as exc:  # pragma: no cover - the assertion
-                errors.append(exc)
-
-        threads = [threading.Thread(target=hammer, args=(t,))
-                   for t in (0, 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert errors == []
-        assert cache.size_bytes == sum(
-            len(cache.get(k)) for k in list(cache._data))
-        assert cache.size_bytes <= cache.capacity_bytes
-
-
 class TestBatchedReads:
-    """get_many / get_many_packed: counter parity and packed contract."""
+    """get_many_packed: counter parity and packed contract."""
 
-    def _loaded(self, path, count=64, cache_bytes=0):
-        store = DiskKVStore(path, cache_bytes=cache_bytes)
+    def _loaded(self, path, count=64):
+        store = DiskKVStore(path)
         for key in range(count):
             store.put(key, bytes([key % 251]) * (17 + key % 13))
         store.flush()
         return store
 
-    def test_get_many_counts_one_read_per_key(self, tmp_path):
+    def test_packed_counts_one_read_per_key(self, tmp_path):
         """Span coalescing is physical-layer only: the logical counters
-        must book exactly one disk read per distinct uncached key, as
-        if each record had its own syscall."""
-        store = self._loaded(tmp_path / "db.log", cache_bytes=1 << 16)
-        store._cache.clear()  # puts pre-filled the cache
+        must book exactly one disk read per key, as if each record had
+        its own syscall — on the cold (verifying) pass and warm."""
+        store = self._loaded(tmp_path / "db.log")
         store.stats.reset()
-        keys = [3, 9, 27, 9, 44, 3]  # duplicates dedup
-        store.get_many(keys)
-        assert store.stats.disk_reads == 4
-        assert store.stats.cache_misses == 4
-        assert store.stats.cache_hits == 0
-        store.get_many(keys)  # second pass: all cache
-        assert store.stats.disk_reads == 4
-        assert store.stats.cache_hits == 4
+        keys = [3, 9, 27, 44, 45, 46]  # 44-46: one coalesced span
+        store.get_many_packed(keys)
+        assert store.stats.disk_reads == len(keys)
+        store.get_many_packed(keys)
+        assert store.stats.disk_reads == 2 * len(keys)
         store.close()
 
-    def test_packed_counts_match_get_many(self, tmp_path):
+    def test_packed_counts_match_scalar_gets(self, tmp_path):
         one = self._loaded(tmp_path / "a.log")
         two = self._loaded(tmp_path / "b.log")
         keys = list(range(0, 64, 3))
         one.stats.reset(); two.stats.reset()
-        one.get_many(keys)
+        for key in keys:
+            one.get(key)
         two.get_many_packed(keys)
         assert one.stats.disk_reads == two.stats.disk_reads
         assert one.stats.bytes_read == two.stats.bytes_read
@@ -696,16 +502,15 @@ class TestBatchedReads:
     def test_packed_returns_input_order(self, tmp_path):
         store = self._loaded(tmp_path / "db.log")
         keys = [40, 2, 2, 17, 5]
-        want = store.get_many(keys)
         data, lengths = store.get_many_packed(keys)
         offset = 0
         for key, length in zip(keys, lengths.tolist()):
-            assert bytes(data[offset:offset + length]) == want[key]
+            assert bytes(data[offset:offset + length]) == store.get(key)
             offset += length
         assert offset == len(data)
         store.close()
 
-    def test_packed_vectorized_tier_matches_python_tier(self, tmp_path):
+    def test_packed_warm_pass_matches_cold_pass(self, tmp_path):
         """The cold pass pre-verifies armed records unbooked and serves
         through the numpy tier; a warm pass must return the same bytes
         and book the same counters."""
@@ -766,21 +571,6 @@ class TestBatchedReads:
         with DiskKVStore(path) as reopened:
             assert reopened.get(0) is not None
             assert 1 not in reopened
-
-    def test_packed_serves_cache_hits(self, tmp_path):
-        store = self._loaded(tmp_path / "db.log", cache_bytes=1 << 16)
-        keys = list(range(0, 20))
-        store.get_many(keys)  # fill the cache
-        store.stats.reset()
-        data, lengths = store.get_many_packed(keys)
-        assert store.stats.disk_reads == 0
-        assert store.stats.cache_hits == len(keys)
-        want = store.get_many(keys)
-        offset = 0
-        for key, length in zip(keys, lengths.tolist()):
-            assert bytes(data[offset:offset + length]) == want[key]
-            offset += length
-        store.close()
 
     def test_inmemory_packed_matches_disk_contract(self):
         store = InMemoryKVStore()
